@@ -25,7 +25,7 @@ import (
 )
 
 // quotas tracks per-caller admission state. It deliberately owns its
-// own mutex: job quota release runs from job.onSettle with the job's
+// own mutex: job quota release runs from the job's OnSettle with its
 // lock held, and must never contend with the job store's.
 type quotas struct {
 	mu     sync.Mutex
@@ -58,7 +58,7 @@ func (q *quotas) reserveJob(caller string, limit int) bool {
 	return true
 }
 
-// releaseJob returns a slot claimed by reserveJob. Safe from onSettle:
+// releaseJob returns a slot claimed by reserveJob. Safe from OnSettle:
 // it takes only the quota lock.
 func (q *quotas) releaseJob(caller string) {
 	q.mu.Lock()
@@ -115,13 +115,15 @@ func (s *Server) authenticate(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		caller, ok := s.identify(r)
 		if !ok {
-			s.metrics.inc(metricRejections, `reason="unauthorized"`)
-			writeError(w, http.StatusUnauthorized, CodeUnauthorized,
+			s.rejections.Inc("unauthorized")
+			WriteError(w, http.StatusUnauthorized, CodeUnauthorized,
 				"missing or unknown bearer token")
 			return
 		}
 		if caller != "" {
-			setCaller(w, caller)
+			if ar := recorderOf(w); ar != nil {
+				ar.caller = caller
+			}
 			r = withCaller(r, caller)
 		}
 		h(w, r)
@@ -136,9 +138,9 @@ func (s *Server) shed(h http.HandlerFunc) http.HandlerFunc {
 		if max := s.cfg.MaxInFlight; max > 0 {
 			if n := s.inflight.Add(1); n > int64(max) {
 				s.inflight.Add(-1)
-				s.metrics.inc(metricRejections, `reason="overloaded"`)
+				s.rejections.Inc("overloaded")
 				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusTooManyRequests, CodeOverloaded,
+				WriteError(w, http.StatusTooManyRequests, CodeOverloaded,
 					"server at %d in-flight work requests; retry shortly", max)
 				return
 			}
@@ -170,9 +172,9 @@ func (s *Server) admitPoints(w http.ResponseWriter, r *http.Request, n int) bool
 	if ok {
 		return true
 	}
-	s.metrics.inc(metricRejections, `reason="quota_points"`)
+	s.rejections.Inc("quota_points")
 	w.Header().Set("Retry-After", strconv.Itoa(int(retry/time.Second)+1))
-	writeError(w, http.StatusTooManyRequests, CodeQuotaExceeded,
+	WriteError(w, http.StatusTooManyRequests, CodeQuotaExceeded,
 		"caller %q exceeds %d grid points per %s", caller, s.cfg.QuotaPoints, s.cfg.QuotaWindow)
 	return false
 }

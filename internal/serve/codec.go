@@ -12,9 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"dyncomp/internal/engine"
+	"dyncomp/internal/jobs"
 	"dyncomp/internal/sweep"
 )
 
@@ -150,22 +150,9 @@ type SweepRequest struct {
 	Options      SweepOptions     `json:"options"`
 }
 
-// Job is the wire form of a sweep job's lifecycle state, returned by
-// POST /v1/sweeps (202), GET /v1/sweeps and embedded in JobResult.
-// State is one of "queued", "running", "cancelling", "done", "failed",
-// "cancelled"; Done/Total report point-level progress.
-type Job struct {
-	ID       string     `json:"id"`
-	State    string     `json:"state"`
-	Engine   string     `json:"engine"`
-	Scenario string     `json:"scenario"`
-	Done     int        `json:"done"`
-	Total    int        `json:"total"`
-	Created  time.Time  `json:"created"`
-	Started  *time.Time `json:"started,omitempty"`
-	Finished *time.Time `json:"finished,omitempty"`
-	Error    string     `json:"error,omitempty"`
-}
+// Job is the wire form of a sweep job's lifecycle state, shared with
+// the coordinator (see jobs.Job).
+type Job = jobs.Job
 
 // Aggregate is the wire form of sweep.Aggregate.
 type Aggregate struct {
@@ -383,11 +370,11 @@ func pointJSON(pr sweep.PointResult) SweepPoint {
 	return sp
 }
 
-// decodeJSON strictly decodes a bounded request body into dst: unknown
+// DecodeJSON strictly decodes a bounded request body into dst: unknown
 // fields and trailing garbage answer 400 bad_json, an oversized body
 // 413 body_too_large (so a client learns the size limit instead of
 // "malformed JSON").
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) *RequestError {
+func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) *RequestError {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -404,8 +391,8 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) *RequestError {
 	return nil
 }
 
-// writeJSON writes a JSON response with the given status code.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes a JSON response with the given status code.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -413,9 +400,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // the status line is already out; nothing to recover
 }
 
-// writeError writes the uniform error envelope.
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, ErrorResponse{Err: Error{
+// WriteError writes the uniform error envelope.
+func WriteError(w http.ResponseWriter, status int, code, format string, args ...any) {
+	WriteJSON(w, status, ErrorResponse{Err: Error{
 		Code:    code,
 		Message: fmt.Sprintf(format, args...),
 	}})

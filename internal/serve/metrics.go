@@ -1,71 +1,10 @@
 package serve
 
 import (
-	"fmt"
-	"io"
 	"net/http"
-	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"dyncomp/internal/tdg"
-)
-
-// metrics is a minimal, dependency-free Prometheus-text-format
-// collector: labelled monotonic counters plus a handful of gauges
-// computed at scrape time (cache statistics, job states, uptime). It is
-// deliberately not a full client library — the serving layer needs a
-// dozen series, not a registry.
-type metrics struct {
-	mu       sync.Mutex
-	counters map[string]map[string]int64 // metric name -> label set -> value
-}
-
-func newMetrics() *metrics {
-	return &metrics{counters: map[string]map[string]int64{}}
-}
-
-// inc adds one to the counter identified by name and a rendered label
-// set like `endpoint="run"` (empty for unlabelled counters).
-func (m *metrics) inc(name, labels string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	series, ok := m.counters[name]
-	if !ok {
-		series = map[string]int64{}
-		m.counters[name] = series
-	}
-	series[labels]++
-}
-
-// snapshot returns the counters as sorted, rendered sample lines.
-func (m *metrics) snapshot() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var lines []string
-	for name, series := range m.counters {
-		for labels, v := range series {
-			if labels == "" {
-				lines = append(lines, fmt.Sprintf("%s %d", name, v))
-			} else {
-				lines = append(lines, fmt.Sprintf("%s{%s} %d", name, labels, v))
-			}
-		}
-	}
-	sort.Strings(lines)
-	return lines
-}
-
-// Metric names. Requests are counted per endpoint and status class;
-// runs and jobs per engine / terminal state.
-const (
-	metricRequests   = "dyncomp_serve_requests_total"
-	metricRuns       = "dyncomp_serve_runs_total"
-	metricJobs       = "dyncomp_serve_jobs_total"
-	metricChunks     = "dyncomp_serve_chunks_total"
-	metricOptimize   = "dyncomp_serve_optimizations_total"
-	metricRejections = "dyncomp_serve_rejections_total"
 )
 
 // predErrBuckets are the upper bounds of the prediction-error histogram
@@ -73,186 +12,98 @@ const (
 // tolerances users actually request (0.1%–10%).
 var predErrBuckets = []float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1}
 
-// errHist is a minimal fixed-bucket Prometheus histogram for the
-// per-point prediction errors of sampled sweeps.
-type errHist struct {
-	mu     sync.Mutex
-	counts []int64 // per bucket; last is +Inf
-	sum    float64
-	n      int64
+// registerMetrics declares every GET /metrics family, in exposition
+// order: the request, run and job counters, then the cache, sweep and
+// job-store series computed at scrape time.
+func (s *Server) registerMetrics() {
+	m := &s.metrics
+	s.requests = m.CounterVec("dyncomp_serve_requests_total",
+		"HTTP requests served, by endpoint and status class.", "endpoint", "class")
+	s.runs = m.CounterVec("dyncomp_serve_runs_total",
+		"Synchronous /v1/run evaluations, by engine.", "engine")
+	s.jobsTotal = m.CounterVec("dyncomp_serve_jobs_total",
+		"Sweep jobs that reached a terminal state, by state.", "state")
+	s.chunks = m.CounterVec("dyncomp_serve_chunks_total",
+		"Distributed sweep chunks evaluated for a coordinator, by engine.", "engine")
+	s.optimizations = m.CounterVec("dyncomp_serve_optimizations_total",
+		"Design-space optimizations completed, by engine.", "engine")
+	s.rejections = m.CounterVec("dyncomp_serve_rejections_total",
+		"Requests rejected by admission control, by reason (unauthorized, quota_jobs, quota_points, overloaded).", "reason")
+	m.GaugeFunc("dyncomp_serve_inflight_requests",
+		"Work requests currently in flight (run/optimize/chunks/sweep submissions).", s.inflight.Load)
+	s.jobsEvicted = m.Counter("dyncomp_serve_jobs_evicted_total",
+		"Settled jobs evicted by TTL or the max-jobs bound.")
+	s.panics = m.Counter("dyncomp_serve_panics_total",
+		"Handler panics recovered into structured 500s.")
+	s.chunkPoints = m.Counter("dyncomp_serve_chunk_points_total",
+		"Grid points evaluated through the chunk endpoint.")
+
+	m.CounterFunc("dyncomp_serve_derive_cache_hits_total",
+		"Derivation-cache requests served by rebinding.",
+		func() int64 { hits, _ := s.cache.Stats(); return hits })
+	m.CounterFunc("dyncomp_serve_derive_cache_misses_total",
+		"Derivations actually performed (including re-derivations of evicted shapes).",
+		func() int64 { _, misses := s.cache.Stats(); return misses })
+	m.CounterFunc("dyncomp_serve_derive_cache_evictions_total",
+		"Templates evicted by the LRU entry bound.", s.cache.Evictions)
+	m.GaugeFunc("dyncomp_serve_derive_cache_shapes",
+		"Cached structural shapes.", func() int64 { return int64(s.cache.Shapes()) })
+	m.GaugeFunc("dyncomp_serve_derive_cache_entry_limit",
+		"Entry bound of the derivation cache (0: unbounded).", func() int64 { return int64(s.cache.Limit()) })
+	m.GaugeVecFunc("dyncomp_serve_derive_cache_shape_hits",
+		"Requests served per cached shape (occupancy snapshot).", []string{"arch", "shape"},
+		func(emit func(int64, ...string)) {
+			for _, sh := range s.cache.Snapshot() {
+				emit(sh.Hits, sh.Arch, sh.Digest)
+			}
+		})
+	m.CounterFunc("dyncomp_serve_tdg_compiles_total",
+		"Temporal-dependency-graph compilations performed process-wide; rebound shapes patch weight tables instead.",
+		tdg.Compiles)
+
+	s.sweepBatches = m.Counter("dyncomp_serve_sweep_batches_total",
+		"Batched lane evaluations dispatched by sweep jobs.")
+	s.sweepBatchPoints = m.Counter("dyncomp_serve_sweep_batch_points_total",
+		"Grid points evaluated through the batched path.")
+	s.sweepBatchLanes = m.Counter("dyncomp_serve_sweep_batch_lanes_total",
+		"Lane capacity offered by those batches (batches x width).")
+	m.GaugeFloat("dyncomp_serve_sweep_batch_occupancy",
+		"Mean lane utilization of batched sweep evaluations (points / capacity).", "%.4f",
+		func() float64 {
+			if lanes := s.sweepBatchLanes.Load(); lanes > 0 {
+				return float64(s.sweepBatchPoints.Load()) / float64(lanes)
+			}
+			return 0
+		})
+	s.sweepSimulated = m.Counter("dyncomp_serve_sweep_simulated_points_total",
+		"Sampled-sweep grid points evaluated exactly.")
+	s.sweepPredicted = m.Counter("dyncomp_serve_sweep_predicted_points_total",
+		"Sampled-sweep grid points filled in by the surrogate model.")
+	s.predErrors = m.Histogram("dyncomp_serve_sweep_pred_error",
+		"Relative prediction error per predicted point (observed under sample_verify, declared bound otherwise).",
+		predErrBuckets)
+
+	m.GaugeFunc("dyncomp_serve_jobs_queued", "Sweep jobs waiting for a worker.",
+		func() int64 { queued, _ := s.jobs.active(); return int64(queued) })
+	m.GaugeFunc("dyncomp_serve_jobs_running", "Sweep jobs currently executing.",
+		func() int64 { _, running := s.jobs.active(); return int64(running) })
+	m.GaugeFloat("dyncomp_serve_uptime_seconds", "Seconds since the server started.", "%.3f",
+		func() float64 { return time.Since(s.started).Seconds() })
 }
 
-func (h *errHist) observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.counts == nil {
-		h.counts = make([]int64, len(predErrBuckets)+1)
-	}
-	i := 0
-	for i < len(predErrBuckets) && v > predErrBuckets[i] {
-		i++
-	}
-	h.counts[i]++
-	h.sum += v
-	h.n++
-}
+// statusClasses are the class label values by status/100 (net/http
+// only writes codes 100–999).
+var statusClasses = [...]string{"0xx", "1xx", "2xx", "3xx", "4xx", "5xx", "6xx", "7xx", "8xx", "9xx"}
 
-// write renders the histogram in the Prometheus text format with
-// cumulative bucket counts.
-func (h *errHist) write(w io.Writer, name string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.counts == nil {
-		h.counts = make([]int64, len(predErrBuckets)+1)
-	}
-	cum := int64(0)
-	for i, ub := range predErrBuckets {
-		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, strconv.FormatFloat(ub, 'g', -1, 64), cum)
-	}
-	cum += h.counts[len(predErrBuckets)]
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, h.sum)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.n)
-}
-
-// handleMetrics serves GET /metrics in the Prometheus text exposition
-// format: the accumulated counters plus scrape-time gauges for the
-// derivation cache, the job store and the process uptime.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-
-	fmt.Fprintf(w, "# HELP %s HTTP requests served, by endpoint and status class.\n", metricRequests)
-	fmt.Fprintf(w, "# TYPE %s counter\n", metricRequests)
-	fmt.Fprintf(w, "# HELP %s Synchronous /v1/run evaluations, by engine.\n", metricRuns)
-	fmt.Fprintf(w, "# TYPE %s counter\n", metricRuns)
-	fmt.Fprintf(w, "# HELP %s Sweep jobs that reached a terminal state, by state.\n", metricJobs)
-	fmt.Fprintf(w, "# TYPE %s counter\n", metricJobs)
-	fmt.Fprintf(w, "# HELP %s Distributed sweep chunks evaluated for a coordinator, by engine.\n", metricChunks)
-	fmt.Fprintf(w, "# TYPE %s counter\n", metricChunks)
-	fmt.Fprintf(w, "# HELP %s Design-space optimizations completed, by engine.\n", metricOptimize)
-	fmt.Fprintf(w, "# TYPE %s counter\n", metricOptimize)
-	fmt.Fprintf(w, "# HELP %s Requests rejected by admission control, by reason (unauthorized, quota_jobs, quota_points, overloaded).\n", metricRejections)
-	fmt.Fprintf(w, "# TYPE %s counter\n", metricRejections)
-	for _, line := range s.metrics.snapshot() {
-		fmt.Fprintln(w, line)
-	}
-	fmt.Fprintf(w, "# HELP dyncomp_serve_inflight_requests Work requests currently in flight (run/optimize/chunks/sweep submissions).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_inflight_requests gauge\n")
-	fmt.Fprintf(w, "dyncomp_serve_inflight_requests %d\n", s.inflight.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_serve_jobs_evicted_total Settled jobs evicted by TTL or the max-jobs bound.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_jobs_evicted_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_jobs_evicted_total %d\n", s.jobsEvicted.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_serve_panics_total Handler panics recovered into structured 500s.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_panics_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_panics_total %d\n", s.panics.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_serve_chunk_points_total Grid points evaluated through the chunk endpoint.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_chunk_points_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_chunk_points_total %d\n", s.chunkPoints.Load())
-
-	hits, misses := s.cache.Stats()
-	fmt.Fprintf(w, "# HELP dyncomp_serve_derive_cache_hits_total Derivation-cache requests served by rebinding.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_derive_cache_hits_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_derive_cache_hits_total %d\n", hits)
-	fmt.Fprintf(w, "# HELP dyncomp_serve_derive_cache_misses_total Derivations actually performed (including re-derivations of evicted shapes).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_derive_cache_misses_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_derive_cache_misses_total %d\n", misses)
-	fmt.Fprintf(w, "# HELP dyncomp_serve_derive_cache_evictions_total Templates evicted by the LRU entry bound.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_derive_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_derive_cache_evictions_total %d\n", s.cache.Evictions())
-	fmt.Fprintf(w, "# HELP dyncomp_serve_derive_cache_shapes Cached structural shapes.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_derive_cache_shapes gauge\n")
-	fmt.Fprintf(w, "dyncomp_serve_derive_cache_shapes %d\n", s.cache.Shapes())
-	fmt.Fprintf(w, "# HELP dyncomp_serve_derive_cache_entry_limit Entry bound of the derivation cache (0: unbounded).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_derive_cache_entry_limit gauge\n")
-	fmt.Fprintf(w, "dyncomp_serve_derive_cache_entry_limit %d\n", s.cache.Limit())
-	fmt.Fprintf(w, "# HELP dyncomp_serve_derive_cache_shape_hits Requests served per cached shape (occupancy snapshot).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_derive_cache_shape_hits gauge\n")
-	for _, sh := range s.cache.Snapshot() {
-		fmt.Fprintf(w, "dyncomp_serve_derive_cache_shape_hits{arch=%q,shape=%q} %d\n", sh.Arch, sh.Digest, sh.Hits)
-	}
-	fmt.Fprintf(w, "# HELP dyncomp_serve_tdg_compiles_total Temporal-dependency-graph compilations performed process-wide; rebound shapes patch weight tables instead.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_tdg_compiles_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_tdg_compiles_total %d\n", tdg.Compiles())
-
-	batches := s.sweepBatches.Load()
-	batchPoints := s.sweepBatchPoints.Load()
-	batchLanes := s.sweepBatchLanes.Load()
-	fmt.Fprintf(w, "# HELP dyncomp_serve_sweep_batches_total Batched lane evaluations dispatched by sweep jobs.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_sweep_batches_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_sweep_batches_total %d\n", batches)
-	fmt.Fprintf(w, "# HELP dyncomp_serve_sweep_batch_points_total Grid points evaluated through the batched path.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_sweep_batch_points_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_sweep_batch_points_total %d\n", batchPoints)
-	fmt.Fprintf(w, "# HELP dyncomp_serve_sweep_batch_lanes_total Lane capacity offered by those batches (batches x width).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_sweep_batch_lanes_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_sweep_batch_lanes_total %d\n", batchLanes)
-	occupancy := 0.0
-	if batchLanes > 0 {
-		occupancy = float64(batchPoints) / float64(batchLanes)
-	}
-	fmt.Fprintf(w, "# HELP dyncomp_serve_sweep_batch_occupancy Mean lane utilization of batched sweep evaluations (points / capacity).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_sweep_batch_occupancy gauge\n")
-	fmt.Fprintf(w, "dyncomp_serve_sweep_batch_occupancy %.4f\n", occupancy)
-
-	fmt.Fprintf(w, "# HELP dyncomp_serve_sweep_simulated_points_total Sampled-sweep grid points evaluated exactly.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_sweep_simulated_points_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_sweep_simulated_points_total %d\n", s.sweepSimulated.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_serve_sweep_predicted_points_total Sampled-sweep grid points filled in by the surrogate model.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_sweep_predicted_points_total counter\n")
-	fmt.Fprintf(w, "dyncomp_serve_sweep_predicted_points_total %d\n", s.sweepPredicted.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_serve_sweep_pred_error Relative prediction error per predicted point (observed under sample_verify, declared bound otherwise).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_sweep_pred_error histogram\n")
-	s.predErrors.write(w, "dyncomp_serve_sweep_pred_error")
-
-	queued, running := s.jobs.active()
-	fmt.Fprintf(w, "# HELP dyncomp_serve_jobs_queued Sweep jobs waiting for a worker.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_jobs_queued gauge\n")
-	fmt.Fprintf(w, "dyncomp_serve_jobs_queued %d\n", queued)
-	fmt.Fprintf(w, "# HELP dyncomp_serve_jobs_running Sweep jobs currently executing.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_jobs_running gauge\n")
-	fmt.Fprintf(w, "dyncomp_serve_jobs_running %d\n", running)
-
-	fmt.Fprintf(w, "# HELP dyncomp_serve_uptime_seconds Seconds since the server started.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_serve_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "dyncomp_serve_uptime_seconds %.3f\n", time.Since(s.started).Seconds())
-}
-
-// statusRecorder captures the response status for the request-counting
-// middleware while keeping http.ResponseController features (notably
-// Flush, which the SSE endpoint needs) reachable through Unwrap.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	if sr.status == 0 {
-		sr.status = code
-	}
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-func (sr *statusRecorder) Write(b []byte) (int, error) {
-	if sr.status == 0 {
-		sr.status = http.StatusOK
-	}
-	return sr.ResponseWriter.Write(b)
-}
-
-// Unwrap lets http.NewResponseController reach the underlying writer.
-func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
-
-// countRequests wraps a handler with the per-endpoint request counter.
+// countRequests wraps a handler with the per-endpoint request counter,
+// reading the status the AccessLog recorder captured.
 func (s *Server) countRequests(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w}
-		h(rec, r)
-		status := rec.status
-		if status == 0 {
-			status = http.StatusOK
+		h(w, r)
+		status := http.StatusOK
+		if ar := recorderOf(w); ar != nil && ar.status != 0 {
+			status = ar.status
 		}
-		s.metrics.inc(metricRequests,
-			fmt.Sprintf(`endpoint=%q,class=%q`, endpoint, fmt.Sprintf("%dxx", status/100)))
+		s.requests.Inc(endpoint, statusClasses[status/100])
 	}
 }

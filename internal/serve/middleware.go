@@ -68,19 +68,19 @@ func (ar *accessRecorder) Write(b []byte) (int, error) {
 // Unwrap lets http.NewResponseController reach the underlying writer.
 func (ar *accessRecorder) Unwrap() http.ResponseWriter { return ar.ResponseWriter }
 
-// setCaller records the authenticated caller on the request's
-// accessRecorder. Context flows inward only, so the auth middleware
-// cannot hand the identity outward through r — instead it walks the
-// ResponseWriter Unwrap chain to the recorder the access log reads.
-func setCaller(w http.ResponseWriter, caller string) {
-	for w != nil {
+// recorderOf finds the request's accessRecorder by walking the
+// ResponseWriter Unwrap chain. Context flows inward only, so the inner
+// middleware (auth, request counting) reach the outermost recorder this
+// way to hand it the caller and to read the status. nil when the
+// handler runs without the AccessLog wrap.
+func recorderOf(w http.ResponseWriter) *accessRecorder {
+	for {
 		if ar, ok := w.(*accessRecorder); ok {
-			ar.caller = caller
-			return
+			return ar
 		}
 		u, ok := w.(interface{ Unwrap() http.ResponseWriter })
 		if !ok {
-			return
+			return nil
 		}
 		w = u.Unwrap()
 	}
@@ -112,7 +112,7 @@ func (al AccessLog) Wrap(h http.Handler) http.Handler {
 				if ar.status == 0 {
 					// Headers not yet out: the client still gets a
 					// structured envelope, never a torn response body.
-					writeError(ar, http.StatusInternalServerError, CodeInternal,
+					WriteError(ar, http.StatusInternalServerError, CodeInternal,
 						"internal error")
 				}
 				if al.Logger != nil {

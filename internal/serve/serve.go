@@ -37,9 +37,11 @@
 //     cache and job counters in the Prometheus text format.
 //
 // The package is deliberately free of dependencies beyond the standard
-// library: routing uses net/http method patterns, metrics are rendered
-// by hand, SSE is a Flush loop. See docs/SERVING.md for the full API
-// reference and cmd/dyncomp-serve for the binary.
+// library: routing uses net/http method patterns, metrics go through the
+// internal/metrics registry, and the job lifecycle, job table and SSE
+// stream are internal/jobs, shared with the coordinator. See
+// docs/SERVING.md for the full API reference and cmd/dyncomp-serve for
+// the binary.
 package serve
 
 import (
@@ -53,6 +55,8 @@ import (
 
 	"dyncomp/internal/derive"
 	"dyncomp/internal/engine"
+	"dyncomp/internal/jobs"
+	"dyncomp/internal/metrics"
 	"dyncomp/internal/zoo"
 
 	// Register the built-in executors, the LTE case-study scenario and
@@ -177,33 +181,32 @@ type Server struct {
 	cfg     Config
 	cache   *derive.Cache
 	jobs    *jobStore
-	metrics *metrics
+	metrics metrics.Registry
 	mux     *http.ServeMux
 	started time.Time
 
-	// Batched-sweep accounting across every finished job, scraped by
-	// /metrics: batched engine invocations, the points they carried and
-	// the lane capacity they offered (batches × width).
-	sweepBatches     atomic.Int64
-	sweepBatchPoints atomic.Int64
-	sweepBatchLanes  atomic.Int64
+	// Labelled counters, by endpoint and status class, engine, terminal
+	// state or rejection reason.
+	requests, runs, jobsTotal, chunks, optimizations, rejections *metrics.CounterVec
+	// Batched-sweep accounting across every finished job: batched engine
+	// invocations, the points they carried and the lane capacity they
+	// offered (batches × width).
+	sweepBatches, sweepBatchPoints, sweepBatchLanes *atomic.Int64
 	// chunkPoints counts grid points evaluated for a distributed sweep
 	// coordinator through POST /v1/chunks.
-	chunkPoints atomic.Int64
+	chunkPoints *atomic.Int64
 	// Sampled-sweep accounting across every finished job: exactly
 	// simulated vs surrogate-predicted points, plus a histogram of the
 	// per-point prediction errors (observed under sample_verify, the
 	// declared bound otherwise).
-	sweepSimulated atomic.Int64
-	sweepPredicted atomic.Int64
-	predErrors     errHist
+	sweepSimulated, sweepPredicted *atomic.Int64
+	predErrors                     *metrics.Histogram
 
 	// Admission-control state: per-caller quotas, the in-flight work
 	// gauge the shed middleware gates on, and the resilience counters.
-	quotas      *quotas
-	inflight    atomic.Int64
-	jobsEvicted atomic.Int64
-	panics      atomic.Int64
+	quotas              *quotas
+	inflight            atomic.Int64
+	jobsEvicted, panics *atomic.Int64
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -217,23 +220,22 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   derive.NewCacheLimit(cfg.CacheEntries),
-		jobs:    newJobStore(cfg.JobQueue),
-		metrics: newMetrics(),
+		jobs:    &jobStore{queue: make(chan *job, cfg.JobQueue)},
 		quotas:  newQuotas(),
 		mux:     http.NewServeMux(),
 		started: time.Now(),
 		baseCtx: ctx,
 		stop:    stop,
 	}
+	s.registerMetrics()
 	s.routes()
 	for i := 0; i < cfg.JobWorkers; i++ {
 		s.wg.Add(1)
 		go s.jobWorker()
 	}
-	if cfg.JobTTL > 0 || cfg.MaxJobs > 0 {
-		s.wg.Add(1)
-		go s.jobJanitor()
-	}
+	jobs.Janitor(ctx, &s.wg, cfg.JobTTL, cfg.MaxJobs, func(now time.Time) {
+		s.jobsEvicted.Add(int64(s.jobs.all.Evict(now, cfg.JobTTL, cfg.MaxJobs)))
+	})
 	return s
 }
 
@@ -243,31 +245,6 @@ func (s *Server) Handler() http.Handler {
 	return AccessLog{Logger: s.cfg.Logger, OnPanic: func() { s.panics.Add(1) }}.Wrap(s.mux)
 }
 
-// jobJanitor periodically evicts settled jobs past the TTL or the
-// max-jobs bound.
-func (s *Server) jobJanitor() {
-	defer s.wg.Done()
-	interval := s.cfg.JobTTL / 4
-	if interval <= 0 || interval > time.Second {
-		interval = time.Second
-	}
-	if interval < 25*time.Millisecond {
-		interval = 25 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.baseCtx.Done():
-			return
-		case <-t.C:
-			if n := s.jobs.evict(time.Now(), s.cfg.JobTTL, s.cfg.MaxJobs); n > 0 {
-				s.jobsEvicted.Add(int64(n))
-			}
-		}
-	}
-}
-
 // Close shuts the job pool down: new job submissions are rejected,
 // running jobs are cancelled (they settle as "cancelled" with their
 // partial results) and jobs still queued are settled as "cancelled"
@@ -275,22 +252,10 @@ func (s *Server) jobJanitor() {
 // hanging into the HTTP drain timeout. Close blocks until every worker
 // returned. Handlers may keep serving reads after Close.
 func (s *Server) Close() {
-	s.jobs.close() // before the drain: add() is serialized against it
-	s.stop()
+	s.stop() // from here on jobStore.add refuses
 	s.wg.Wait()
-	// No worker will ever pop these; settle them.
-	for {
-		select {
-		case j := <-s.jobs.queue:
-			j.mu.Lock()
-			if j.state == jobQueued {
-				j.err = context.Canceled
-				j.settleLocked(jobCancelled, time.Now())
-			}
-			j.mu.Unlock()
-		default:
-			return
-		}
+	for _, j := range s.jobs.all.List() {
+		j.Settle(jobs.Cancelled, context.Canceled, time.Now()) // no-op once settled
 	}
 }
 
@@ -301,17 +266,20 @@ func (s *Server) Close() {
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.probe("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /readyz", s.probe("readyz", s.handleReadyz))
-	s.mux.HandleFunc("GET /metrics", s.probe("metrics", s.handleMetrics))
+	s.mux.HandleFunc("GET /metrics", s.probe("metrics", s.metrics.ServeHTTP))
 	s.mux.HandleFunc("GET /v1/engines", s.light("engines", s.handleEngines))
 	s.mux.HandleFunc("GET /v1/scenarios", s.light("scenarios", s.handleScenarios))
 	s.mux.HandleFunc("POST /v1/run", s.work("run", s.handleRun))
 	s.mux.HandleFunc("POST /v1/optimize", s.work("optimize", s.handleOptimize))
 	s.mux.HandleFunc("POST /v1/chunks", s.work("chunk_run", s.handleChunkRun))
 	s.mux.HandleFunc("POST /v1/sweeps", s.work("sweep_create", s.handleSweepCreate))
-	s.mux.HandleFunc("GET /v1/sweeps", s.light("sweep_list", s.handleSweepList))
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.light("sweep_get", s.handleSweepGet))
-	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.light("sweep_cancel", s.handleSweepCancel))
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/events", s.stream("sweep_events", s.handleSweepEvents))
+	// Close settles every job, so event streams need no quit signal:
+	// each subscriber gets its terminal event.
+	api := JobHandlers[*job]{Jobs: &s.jobs.all, Result: (*job).result, StreamWriteTimeout: s.cfg.StreamWriteTimeout}
+	s.mux.HandleFunc("GET /v1/sweeps", s.light("sweep_list", api.List))
+	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.light("sweep_get", api.Get))
+	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.light("sweep_cancel", api.Cancel))
+	s.mux.HandleFunc("GET /v1/sweeps/{id}/events", s.stream("sweep_events", api.Events))
 }
 
 // Health is the body of GET /healthz.
@@ -325,7 +293,7 @@ type Health struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	queued, running := s.jobs.active()
-	writeJSON(w, http.StatusOK, Health{
+	WriteJSON(w, http.StatusOK, Health{
 		Status:      "ok",
 		UptimeNs:    time.Since(s.started).Nanoseconds(),
 		JobsQueued:  queued,
@@ -339,15 +307,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // saturated, so load balancers and the shard coordinator's breaker
 // probes steer work away before it would be rejected.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	closed, queueLen, queueCap := s.jobs.saturation()
+	queueLen, queueCap := len(s.jobs.queue), cap(s.jobs.queue)
 	switch {
-	case closed:
-		writeError(w, http.StatusServiceUnavailable, CodeUnavailable, "draining")
+	case s.baseCtx.Err() != nil:
+		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, "draining")
 	case queueCap > 0 && queueLen >= queueCap:
-		writeError(w, http.StatusServiceUnavailable, CodeOverloaded,
+		WriteError(w, http.StatusServiceUnavailable, CodeOverloaded,
 			"job queue saturated (%d/%d)", queueLen, queueCap)
 	default:
-		writeJSON(w, http.StatusOK, struct {
+		WriteJSON(w, http.StatusOK, struct {
 			Status string `json:"status"`
 		}{"ready"})
 	}
@@ -366,7 +334,7 @@ func (s *Server) handleEngines(w http.ResponseWriter, r *http.Request) {
 	for _, n := range names {
 		out.Engines = append(out.Engines, EngineInfo{Name: n})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // ScenarioInfo is one entry of GET /v1/scenarios.
@@ -390,5 +358,5 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 			HybridGroup: sc.HybridGroup != nil,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }

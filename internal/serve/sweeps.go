@@ -1,13 +1,12 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"runtime"
 	"time"
 
+	"dyncomp/internal/jobs"
 	"dyncomp/internal/model"
 	"dyncomp/internal/sim"
 	"dyncomp/internal/sweep"
@@ -186,20 +185,20 @@ func (s *Server) prepareSweep(req SweepRequest) (*SweepPlan, *RequestError) {
 // job and answer 202 with its lifecycle snapshot.
 func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if aerr := decodeJSON(w, r, &req); aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+	if aerr := DecodeJSON(w, r, &req); aerr != nil {
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
 	plan, aerr := s.prepareSweep(req)
 	if aerr != nil {
-		writeError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
 	caller := callerID(r)
 	if !s.quotas.reserveJob(caller, s.cfg.QuotaJobs) {
-		s.metrics.inc(metricRejections, `reason="quota_jobs"`)
+		s.rejections.Inc("quota_jobs")
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, CodeQuotaExceeded,
+		WriteError(w, http.StatusTooManyRequests, CodeQuotaExceeded,
 			"caller %q already has %d jobs in flight", caller, s.cfg.QuotaJobs)
 		return
 	}
@@ -207,131 +206,95 @@ func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 		s.quotas.releaseJob(caller)
 		return
 	}
-	j := &job{
-		engine:   plan.Engine,
-		scenario: plan.Scenario,
-		axes:     plan.Axes,
-		opts:     plan.Opts,
-		total:    plan.Total,
-		created:  time.Now(),
-		gen:      plan.Gen,
-		// Count every terminal state exactly once, wherever the job
-		// settles (worker, queued-cancel, shutdown drain) — and return
-		// the caller's concurrent-job quota slot there, the single point
-		// every settle path funnels through.
-		onSettle: func(st jobState) {
-			s.quotas.releaseJob(caller)
-			s.metrics.inc(metricJobs, fmt.Sprintf(`state=%q`, st.String()))
-		},
+	j := &job{axes: plan.Axes, gen: plan.Gen, opts: plan.Opts}
+	j.Info = Job{Engine: plan.Engine, Scenario: plan.Scenario, Total: plan.Total, Created: time.Now()}
+	// Count every terminal state exactly once, wherever the job settles
+	// (worker, queued-cancel, shutdown drain) — and return the caller's
+	// concurrent-job quota slot there, the single point every settle
+	// path funnels through.
+	j.OnSettle = func(st jobs.State, _ error) {
+		s.quotas.releaseJob(caller)
+		s.jobsTotal.Inc(st.String())
 	}
-	if err := s.jobs.add(j); err != nil {
-		s.quotas.releaseJob(caller) // never enqueued: onSettle will not run
+	if err := s.jobs.add(s.baseCtx, j); err != nil {
+		s.quotas.releaseJob(caller) // never enqueued: OnSettle will not run
 		if errors.Is(err, errShuttingDown) {
-			writeError(w, http.StatusServiceUnavailable, CodeUnavailable, "%v", err)
+			WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, "%v", err)
 		} else {
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, CodeQueueFull, "%v", err)
+			WriteError(w, http.StatusTooManyRequests, CodeQueueFull, "%v", err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	WriteJSON(w, http.StatusAccepted, j.Snapshot())
 }
 
-// handleSweepList serves GET /v1/sweeps: every job, creation order.
-func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.jobs.list()
+// JobHandlers serves the sweep job API beyond submission over a job
+// table — list, get, cancel, events — with one set of handlers for
+// dyncomp-serve and the coordinator, so both answer byte-identically.
+type JobHandlers[J jobs.Entry] struct {
+	Jobs *jobs.Table[J]
+	// Result renders GET /v1/sweeps/{id}: the lifecycle plus, in terminal
+	// states, the statistics and per-point results.
+	Result func(J) JobResult
+	// StreamWriteTimeout bounds each event-stream write; Quit, when
+	// closed, ends every event stream (a shutdown that leaves jobs
+	// unsettled).
+	StreamWriteTimeout time.Duration
+	Quit               <-chan struct{}
+}
+
+// Lookup resolves the {id} path segment, answering 404 itself.
+func (a JobHandlers[J]) Lookup(w http.ResponseWriter, r *http.Request) (J, bool) {
+	j, ok := a.Jobs.Get(r.PathValue("id"))
+	if !ok {
+		WriteError(w, http.StatusNotFound, CodeJobNotFound, "no job %q", r.PathValue("id"))
+	}
+	return j, ok
+}
+
+// List serves GET /v1/sweeps: every job, creation order.
+func (a JobHandlers[J]) List(w http.ResponseWriter, r *http.Request) {
+	all := a.Jobs.List()
 	out := struct {
 		Jobs []Job `json:"jobs"`
-	}{Jobs: make([]Job, 0, len(jobs))}
-	for _, j := range jobs {
-		out.Jobs = append(out.Jobs, j.snapshot())
+	}{Jobs: make([]Job, 0, len(all))}
+	for _, j := range all {
+		out.Jobs = append(out.Jobs, j.Snapshot())
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
-// handleSweepGet serves GET /v1/sweeps/{id}: lifecycle plus, in terminal
-// states, the sweep statistics and per-point results.
-func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeJobNotFound, "no job %q", r.PathValue("id"))
-		return
+// Get serves GET /v1/sweeps/{id}.
+func (a JobHandlers[J]) Get(w http.ResponseWriter, r *http.Request) {
+	if j, ok := a.Lookup(w, r); ok {
+		WriteJSON(w, http.StatusOK, a.Result(j))
 	}
-	writeJSON(w, http.StatusOK, j.result())
 }
 
-// handleSweepCancel serves DELETE /v1/sweeps/{id}: queued jobs settle as
-// cancelled immediately, running jobs get their context cancelled and
-// settle when the worker observes it (the response then reports the
-// transient "cancelling" state); terminal jobs answer 409.
-func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
+// Cancel serves DELETE /v1/sweeps/{id}: queued jobs settle as cancelled
+// immediately, running jobs get their context cancelled and settle when
+// their runner observes it (the response then reports the transient
+// "cancelling" state); terminal jobs answer 409.
+func (a JobHandlers[J]) Cancel(w http.ResponseWriter, r *http.Request) {
+	j, ok := a.Lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, CodeJobNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
-	st, ok := j.requestCancel(time.Now())
-	if !ok {
-		writeError(w, http.StatusConflict, CodeJobTerminal,
-			"job %s already settled as %q", j.id, st)
+	if st, ok := j.RequestCancel(time.Now()); !ok {
+		WriteError(w, http.StatusConflict, CodeJobTerminal,
+			"job %s already settled as %q", r.PathValue("id"), st)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	WriteJSON(w, http.StatusAccepted, j.Snapshot())
 }
 
-// handleSweepEvents serves GET /v1/sweeps/{id}/events as a server-sent
-// event stream: one initial "state" snapshot, "progress" events with
-// absolute done/total counts as points finish, a final "state" event
-// when the job settles, then EOF. Slow consumers skip intermediate
-// progress events but never the terminal state.
-func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeJobNotFound, "no job %q", r.PathValue("id"))
-		return
-	}
-	ch, unsubscribe := j.subscribe()
-	defer unsubscribe()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	_ = rc.Flush()
-
-	emit := func(ev event) bool {
-		data, err := json.Marshal(ev.Data)
-		if err != nil {
-			return false
-		}
-		// A stalled consumer fails the write at the deadline instead of
-		// pinning this goroutine; SetWriteDeadline errors (recorders,
-		// exotic transports) leave the stream unbounded rather than dead.
-		if d := s.cfg.StreamWriteTimeout; d > 0 {
-			_ = rc.SetWriteDeadline(time.Now().Add(d))
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Name, data); err != nil {
-			return false
-		}
-		return rc.Flush() == nil
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-ch:
-			if !ok {
-				// The job settled (only settleLocked closes a channel the
-				// handler still owns). Render the terminal state here —
-				// never through the droppable broadcast path — so even a
-				// consumer whose buffer overflowed gets it.
-				emit(event{Name: "state", Data: j.snapshot()})
-				return
-			}
-			if !emit(ev) {
-				return
-			}
-		}
+// Events serves GET /v1/sweeps/{id}/events as a server-sent event
+// stream: one initial "state" snapshot, "progress" events with absolute
+// done/total counts as points finish, a final "state" event when the
+// job settles, then EOF (see jobs.ServeEvents).
+func (a JobHandlers[J]) Events(w http.ResponseWriter, r *http.Request) {
+	if j, ok := a.Lookup(w, r); ok {
+		jobs.ServeEvents(w, r, a.StreamWriteTimeout, a.Quit, j)
 	}
 }

@@ -43,6 +43,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dyncomp/internal/jobs"
+	"dyncomp/internal/metrics"
 	"dyncomp/internal/serve"
 )
 
@@ -103,8 +105,8 @@ type Config struct {
 	// so one stalled consumer cannot pin a handler goroutine forever
 	// (default 30s; negative disables).
 	StreamWriteTimeout time.Duration
-	// Logger receives structured access logs (nil: no request logging;
-	// panic recovery stays active).
+	// Logger receives structured access logs and store failures (nil: no
+	// logging; panic recovery stays active).
 	Logger *slog.Logger
 }
 
@@ -160,27 +162,22 @@ func (c Config) withDefaults() Config {
 // vocabulary as a single dyncomp-serve process — plus the fleet
 // endpoints (/v1/workers) and an NDJSON result stream.
 type Coordinator struct {
-	cfg   Config
-	ring  *ring
-	store *Store
-	mux   *http.ServeMux
-
-	mu    sync.Mutex
-	jobs  map[string]*job
-	order []string
-	seq   int64
+	cfg     Config
+	ring    *ring
+	store   *Store
+	mux     *http.ServeMux
+	jobs    jobs.Table[*job]
+	api     serve.JobHandlers[*job]
+	metrics metrics.Registry
 
 	baseCtx context.Context
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
 
 	// Resilience counters, exported by GET /metrics.
-	breakerOpened  atomic.Int64
-	breakerClosedN atomic.Int64
-	chunkRetries   atomic.Int64
-	jobsEvicted    atomic.Int64
-	compactions    atomic.Int64
-	panics         atomic.Int64
+	breakerOpened, breakerClosedN, chunkRetries *atomic.Int64
+	jobsEvicted, compactions, panics            *atomic.Int64
+	storeErrors                                 *metrics.CounterVec
 }
 
 // New creates a Coordinator: opens the store (when configured), replays
@@ -193,10 +190,12 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:     cfg,
 		ring:    newRing(cfg.Workers),
 		mux:     http.NewServeMux(),
-		jobs:    map[string]*job{},
 		baseCtx: ctx,
 		stop:    stop,
 	}
+	c.api = serve.JobHandlers[*job]{Jobs: &c.jobs, Result: (*job).result,
+		StreamWriteTimeout: cfg.StreamWriteTimeout, Quit: ctx.Done()}
+	c.registerMetrics()
 	if cfg.StorePath != "" {
 		store, recovered, err := OpenStore(cfg.StorePath)
 		if err != nil {
@@ -209,34 +208,8 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 	}
 	c.routes()
-	if cfg.JobTTL > 0 || cfg.MaxJobs > 0 {
-		c.wg.Add(1)
-		go c.jobJanitor()
-	}
+	jobs.Janitor(ctx, &c.wg, cfg.JobTTL, cfg.MaxJobs, c.evictJobs)
 	return c, nil
-}
-
-// jobJanitor periodically evicts settled jobs past the TTL or beyond
-// MaxJobs and compacts the store past them.
-func (c *Coordinator) jobJanitor() {
-	defer c.wg.Done()
-	interval := c.cfg.JobTTL / 4
-	if interval < 25*time.Millisecond {
-		interval = 25 * time.Millisecond
-	}
-	if interval > time.Second || c.cfg.JobTTL <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.baseCtx.Done():
-			return
-		case now := <-t.C:
-			c.evictJobs(now)
-		}
-	}
 }
 
 // evictJobs drops settled jobs past the TTL (by finish time) plus the
@@ -245,48 +218,47 @@ func (c *Coordinator) jobJanitor() {
 // without bound under sustained traffic. Running jobs are never
 // touched.
 func (c *Coordinator) evictJobs(now time.Time) {
-	c.mu.Lock()
-	drop := map[string]bool{}
-	var settled []string // creation order
-	for _, id := range c.order {
-		if at, ok := c.jobs[id].settledAt(); ok {
-			if c.cfg.JobTTL > 0 && now.Sub(at) >= c.cfg.JobTTL {
-				drop[id] = true
-			} else {
-				settled = append(settled, id)
-			}
-		}
-	}
-	if c.cfg.MaxJobs > 0 {
-		kept := len(c.order) - len(drop)
-		for _, id := range settled {
-			if kept <= c.cfg.MaxJobs {
-				break
-			}
-			drop[id] = true
-			kept--
-		}
-	}
-	if len(drop) == 0 {
-		c.mu.Unlock()
+	n := c.jobs.Evict(now, c.cfg.JobTTL, c.cfg.MaxJobs)
+	if n == 0 {
 		return
 	}
-	order := c.order[:0]
-	live := map[string]bool{}
-	for _, id := range c.order {
-		if drop[id] {
-			delete(c.jobs, id)
-			continue
-		}
-		order = append(order, id)
-		live[id] = true
+	c.jobsEvicted.Add(int64(n))
+	if c.store == nil {
+		return
 	}
-	c.order = order
-	c.mu.Unlock()
-	c.jobsEvicted.Add(int64(len(drop)))
-	if c.store != nil {
-		if _, _, err := c.store.Compact(live); err == nil {
-			c.compactions.Add(1)
+	live := map[string]bool{}
+	for _, j := range c.jobs.List() {
+		live[j.Info.ID] = true
+	}
+	if _, _, err := c.store.Compact(live); err != nil {
+		c.storeFailed("compact", "", err)
+		return
+	}
+	c.compactions.Add(1)
+}
+
+// storeFailed logs and counts a failed store operation. The fabric
+// keeps going: a lost chunk record costs a re-dispatch after a restart,
+// a lost state record a resumed (then re-settled) job.
+func (c *Coordinator) storeFailed(op, id string, err error) {
+	c.storeErrors.Inc(op)
+	if c.cfg.Logger != nil {
+		c.cfg.Logger.Error("store operation failed", "op", op, "job", id, "err", err)
+	}
+}
+
+// persistSettle makes a job record its terminal state in the store
+// when it settles, so a restart does not resurrect it. It is set before
+// the job becomes visible, so every settle path — runner, queued
+// cancel — goes through it.
+func (c *Coordinator) persistSettle(j *job) {
+	j.OnSettle = func(st jobs.State, err error) {
+		msg := ""
+		if err != nil {
+			msg = err.Error()
+		}
+		if err := c.store.AppendState(j.Info.ID, st.String(), msg); err != nil {
+			c.storeFailed("append_state", j.Info.ID, err)
 		}
 	}
 }
@@ -296,9 +268,6 @@ func (c *Coordinator) evictJobs(now time.Time) {
 // settle the recorded terminal state or resume dispatching the chunks
 // that never came back.
 func (c *Coordinator) recoverJob(jr JobRecord) {
-	if n := idSeq(jr.ID); n > c.seq {
-		c.seq = n
-	}
 	// Replan under neutral defaults: the spec's pinned batch width and
 	// the recorded chunk size carry the plan-relevant knobs, so a
 	// restart with different flags still cuts identical chunks.
@@ -306,48 +275,39 @@ func (c *Coordinator) recoverJob(jr JobRecord) {
 	if rerr != nil {
 		// The spec no longer compiles (e.g. a scenario was removed).
 		// Surface the job as failed instead of silently dropping it.
-		j := &job{
-			id: jr.ID, spec: jr.Spec, created: jr.Created,
-			state: jobFailed, errMsg: rerr.Msg, changed: make(chan struct{}),
-		}
+		j := &job{spec: jr.Spec}
+		j.Info = serve.Job{ID: jr.ID, Created: jr.Created}
+		j.Settle(jobs.Failed, rerr, time.Time{}) // finish time unknown
 		c.register(j)
 		return
 	}
 	j := newJob(jr.ID, jr.Spec, jr.Created, jp)
 	j.applyRecords(jr.Chunks)
-	c.register(j)
 	if jr.State != "" {
 		st := stateFromWire(jr.State)
-		if st == jobDone {
+		if st == jobs.Done {
 			// done promises done == total; a chunk whose record was
 			// torn off the tail settles with an explicit error.
 			for _, ci := range j.pendingChunks() {
 				j.failChunk(ci, errors.New("shard: chunk result lost before coordinator shutdown"))
 			}
 		}
-		j.settle(st, jr.Error, jr.Created)
+		var err error
+		if jr.Error != "" {
+			err = errors.New(jr.Error)
+		}
+		j.Settle(st, err, jr.Created)
+		c.register(j)
 		return
 	}
+	c.persistSettle(j)
+	c.register(j)
 	c.wg.Add(1)
 	go c.runJob(j)
 }
 
-// register adds a job to the table in creation order.
-func (c *Coordinator) register(j *job) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.jobs[j.id] = j
-	c.order = append(c.order, j.id)
-}
-
-// idSeq parses the numeric suffix of a "job-%06d" id (0 when foreign).
-func idSeq(id string) int64 {
-	var n int64
-	if _, err := fmt.Sscanf(id, "job-%d", &n); err != nil {
-		return 0
-	}
-	return n
-}
+// register adds a recovered job to the table under its recorded id.
+func (c *Coordinator) register(j *job) { c.jobs.Put(j.Info.ID, j) }
 
 // Handler returns the root handler serving the coordinator API,
 // wrapped in the same panic-recovery and access-logging middleware the
@@ -373,14 +333,14 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) routes() {
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
 	c.mux.HandleFunc("GET /readyz", c.handleReadyz)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
+	c.mux.Handle("GET /metrics", &c.metrics)
 	c.mux.HandleFunc("GET /v1/workers", c.handleWorkersList)
 	c.mux.HandleFunc("POST /v1/workers", c.handleWorkersAdd)
 	c.mux.HandleFunc("POST /v1/sweeps", c.handleSweepCreate)
-	c.mux.HandleFunc("GET /v1/sweeps", c.handleSweepList)
-	c.mux.HandleFunc("GET /v1/sweeps/{id}", c.handleSweepGet)
-	c.mux.HandleFunc("DELETE /v1/sweeps/{id}", c.handleSweepCancel)
-	c.mux.HandleFunc("GET /v1/sweeps/{id}/events", c.handleSweepEvents)
+	c.mux.HandleFunc("GET /v1/sweeps", c.api.List)
+	c.mux.HandleFunc("GET /v1/sweeps/{id}", c.api.Get)
+	c.mux.HandleFunc("DELETE /v1/sweeps/{id}", c.api.Cancel)
+	c.mux.HandleFunc("GET /v1/sweeps/{id}/events", c.api.Events)
 	c.mux.HandleFunc("GET /v1/sweeps/{id}/results", c.handleSweepResults)
 }
 
@@ -400,14 +360,14 @@ func (c *Coordinator) submit(req serve.SweepRequest) (*job, *serve.RequestError)
 	// restarted coordinator must replan the same cuts.
 	req.Options.BatchWidth = jp.effWidth
 
-	c.mu.Lock()
-	c.seq++
-	id := fmt.Sprintf("job-%06d", c.seq)
-	c.mu.Unlock()
-	j := newJob(id, req, time.Now(), jp)
-	c.register(j)
-	if err := c.store.AppendJob(id, j.created, req, c.cfg.ChunkPoints); err != nil {
-		j.settle(jobFailed, fmt.Sprintf("persisting job: %v", err), time.Now())
+	j, _ := c.jobs.Add(func(id string) (*job, error) {
+		j := newJob(id, req, time.Now(), jp)
+		c.persistSettle(j)
+		return j, nil
+	})
+	if err := c.store.AppendJob(j.Info.ID, j.Info.Created, req, c.cfg.ChunkPoints); err != nil {
+		c.storeFailed("append_job", j.Info.ID, err)
+		j.Settle(jobs.Failed, fmt.Errorf("persisting job: %w", err), time.Now())
 		return j, nil
 	}
 	c.wg.Add(1)
@@ -421,13 +381,8 @@ func (c *Coordinator) runJob(j *job) {
 	defer c.wg.Done()
 	ctx, cancel := context.WithCancel(c.baseCtx)
 	defer cancel()
-	if !j.start(cancel, time.Now()) {
-		if j.cancelled() {
-			// Cancelled while still queued: start settled the job;
-			// persist the state so a restart does not resurrect it.
-			_ = c.store.AppendState(j.id, "cancelled", context.Canceled.Error())
-		}
-		return
+	if !j.Start(cancel, time.Now()) {
+		return // cancelled while queued: settled (and persisted) already
 	}
 
 	sem := make(chan struct{}, c.cfg.Dispatch)
@@ -447,15 +402,13 @@ func (c *Coordinator) runJob(j *job) {
 
 	now := time.Now()
 	switch {
-	case j.complete():
+	case len(j.pendingChunks()) == 0:
 		// Every chunk merged — point-level failures (including fabric
 		// failures) travel in the results, exactly as in the sweep
 		// engine, so the job itself is done.
-		_ = c.store.AppendState(j.id, "done", "")
-		j.settle(jobDone, "", now)
-	case j.cancelled():
-		_ = c.store.AppendState(j.id, "cancelled", context.Canceled.Error())
-		j.settle(jobCancelled, context.Canceled.Error(), now)
+		j.Settle(jobs.Done, nil, now)
+	case j.CancelRequested():
+		j.Settle(jobs.Cancelled, context.Canceled, now)
 	default:
 		// Coordinator shutdown: leave the job unsettled in the store so
 		// a restart resumes it from the last completed chunk.
@@ -511,7 +464,9 @@ func (c *Coordinator) dispatchChunk(ctx context.Context, j *job, ci int) {
 		if err == nil {
 			c.ring.recordSuccess(worker)
 			if j.applyChunk(ci, resp.Points, resp.Batches, resp.BatchedPoints) {
-				_ = c.store.AppendChunk(j.id, ci, worker, resp)
+				if err := c.store.AppendChunk(j.Info.ID, ci, worker, resp); err != nil {
+					c.storeFailed("append_chunk", j.Info.ID, err)
+				}
 			}
 			return
 		}
@@ -589,32 +544,6 @@ func (c *Coordinator) probeWorker(url string) {
 	}
 }
 
-// cancelled reports whether a cancel was requested.
-func (j *job) cancelled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cancelRequested
-}
-
-// get looks a job up by id.
-func (c *Coordinator) get(id string) (*job, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	return j, ok
-}
-
-// list returns every job in creation order.
-func (c *Coordinator) list() []*job {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*job, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.jobs[id])
-	}
-	return out
-}
-
 // Health is the body of GET /healthz.
 type Health struct {
 	Status       string `json:"status"`
@@ -624,19 +553,16 @@ type Health struct {
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	jobs := len(c.jobs)
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, Health{
+	serve.WriteJSON(w, http.StatusOK, Health{
 		Status:       "ok",
 		Workers:      len(c.ring.workers()),
 		WorkersAlive: c.ring.alive(),
-		Jobs:         jobs,
+		Jobs:         c.jobs.Len(),
 	})
 }
 
 func (c *Coordinator) handleWorkersList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		Workers []WorkerStatus `json:"workers"`
 	}{Workers: c.ring.workers()})
 }
@@ -651,69 +577,31 @@ type workerAddRequest struct {
 
 func (c *Coordinator) handleWorkersAdd(w http.ResponseWriter, r *http.Request) {
 	var req workerAddRequest
-	if rerr := decodeJSON(w, r, &req); rerr != nil {
-		writeError(w, rerr)
+	if rerr := serve.DecodeJSON(w, r, &req); rerr != nil {
+		serve.WriteError(w, rerr.Status, rerr.Code, "%s", rerr.Msg)
 		return
 	}
 	u, err := url.Parse(req.URL)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		writeError(w, &serve.RequestError{Status: http.StatusBadRequest,
-			Code: serve.CodeBadJSON, Msg: fmt.Sprintf("url %q is not an absolute http(s) URL", req.URL)})
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadJSON, "url %q is not an absolute http(s) URL", req.URL)
 		return
 	}
 	c.ring.add(strings.TrimRight(req.URL, "/"))
-	writeJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		Workers []WorkerStatus `json:"workers"`
 	}{Workers: c.ring.workers()})
 }
 
 func (c *Coordinator) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 	var req serve.SweepRequest
-	if rerr := decodeJSON(w, r, &req); rerr != nil {
-		writeError(w, rerr)
+	if rerr := serve.DecodeJSON(w, r, &req); rerr != nil {
+		serve.WriteError(w, rerr.Status, rerr.Code, "%s", rerr.Msg)
 		return
 	}
 	j, rerr := c.submit(req)
 	if rerr != nil {
-		writeError(w, rerr)
+		serve.WriteError(w, rerr.Status, rerr.Code, "%s", rerr.Msg)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.snapshot())
-}
-
-func (c *Coordinator) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	jobs := c.list()
-	out := struct {
-		Jobs []serve.Job `json:"jobs"`
-	}{Jobs: make([]serve.Job, 0, len(jobs))}
-	for _, j := range jobs {
-		out.Jobs = append(out.Jobs, j.snapshot())
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (c *Coordinator) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, &serve.RequestError{Status: http.StatusNotFound,
-			Code: serve.CodeJobNotFound, Msg: fmt.Sprintf("no job %q", r.PathValue("id"))})
-		return
-	}
-	writeJSON(w, http.StatusOK, j.result())
-}
-
-func (c *Coordinator) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, &serve.RequestError{Status: http.StatusNotFound,
-			Code: serve.CodeJobNotFound, Msg: fmt.Sprintf("no job %q", r.PathValue("id"))})
-		return
-	}
-	st, ok := j.requestCancel()
-	if !ok {
-		writeError(w, &serve.RequestError{Status: http.StatusConflict,
-			Code: serve.CodeJobTerminal, Msg: fmt.Sprintf("job %s already settled as %q", j.id, st)})
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	serve.WriteJSON(w, http.StatusAccepted, j.Snapshot())
 }

@@ -1,71 +1,47 @@
 package shard
 
 // Coordinator observability: GET /metrics exposes the fabric's
-// resilience counters in the Prometheus text format (hand-rolled like
-// the serving layer's — stdlib only), and GET /readyz is the readiness
-// probe load balancers and upstream breakers key on: a coordinator with
-// no live worker accepts jobs it cannot dispatch, so it reports not
-// ready.
+// resilience counters through the shared registry, and GET /readyz is
+// the readiness probe load balancers and upstream breakers key on: a
+// coordinator with no live worker accepts jobs it cannot dispatch, so
+// it reports not ready.
 
 import (
-	"fmt"
 	"net/http"
 
 	"dyncomp/internal/serve"
 )
 
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	ws := c.ring.workers()
-	alive := 0
-	for _, m := range ws {
-		if !m.Down {
-			alive++
-		}
-	}
-	c.mu.Lock()
-	jobs := len(c.jobs)
-	c.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP dyncomp_coord_workers Registered fleet members.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_workers gauge\n")
-	fmt.Fprintf(w, "dyncomp_coord_workers %d\n", len(ws))
-	fmt.Fprintf(w, "# HELP dyncomp_coord_workers_alive Fleet members with a closed breaker (in rotation).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_workers_alive gauge\n")
-	fmt.Fprintf(w, "dyncomp_coord_workers_alive %d\n", alive)
-	fmt.Fprintf(w, "# HELP dyncomp_coord_breaker_state Breaker state per worker (0 closed, 1 open, 2 half-open).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_breaker_state gauge\n")
-	for _, m := range ws {
-		v := 0
-		switch m.Breaker {
-		case breakerOpen.String():
-			v = 1
-		case breakerHalfOpen.String():
-			v = 2
-		}
-		fmt.Fprintf(w, "dyncomp_coord_breaker_state{worker=%q} %d\n", m.URL, v)
-	}
-	fmt.Fprintf(w, "# HELP dyncomp_coord_breaker_opened_total Breakers opened (worker benched).\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_breaker_opened_total counter\n")
-	fmt.Fprintf(w, "dyncomp_coord_breaker_opened_total %d\n", c.breakerOpened.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_coord_breaker_closed_total Breakers closed by a successful readiness probe.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_breaker_closed_total counter\n")
-	fmt.Fprintf(w, "dyncomp_coord_breaker_closed_total %d\n", c.breakerClosedN.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_coord_chunk_retries_total Chunk dispatch attempts past the first.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_chunk_retries_total counter\n")
-	fmt.Fprintf(w, "dyncomp_coord_chunk_retries_total %d\n", c.chunkRetries.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_coord_jobs Jobs in the table.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_jobs gauge\n")
-	fmt.Fprintf(w, "dyncomp_coord_jobs %d\n", jobs)
-	fmt.Fprintf(w, "# HELP dyncomp_coord_jobs_evicted_total Settled jobs evicted by TTL or the MaxJobs cap.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_jobs_evicted_total counter\n")
-	fmt.Fprintf(w, "dyncomp_coord_jobs_evicted_total %d\n", c.jobsEvicted.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_coord_store_compactions_total Store compactions past evicted jobs.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_store_compactions_total counter\n")
-	fmt.Fprintf(w, "dyncomp_coord_store_compactions_total %d\n", c.compactions.Load())
-	fmt.Fprintf(w, "# HELP dyncomp_coord_panics_total Handler panics recovered by the middleware.\n")
-	fmt.Fprintf(w, "# TYPE dyncomp_coord_panics_total counter\n")
-	fmt.Fprintf(w, "dyncomp_coord_panics_total %d\n", c.panics.Load())
+// registerMetrics declares every GET /metrics family, in exposition
+// order.
+func (c *Coordinator) registerMetrics() {
+	m := &c.metrics
+	m.GaugeFunc("dyncomp_coord_workers", "Registered fleet members.",
+		func() int64 { return int64(len(c.ring.workers())) })
+	m.GaugeFunc("dyncomp_coord_workers_alive", "Fleet members with a closed breaker (in rotation).",
+		func() int64 { return int64(c.ring.alive()) })
+	m.GaugeVecFunc("dyncomp_coord_breaker_state", "Breaker state per worker (0 closed, 1 open, 2 half-open).",
+		[]string{"worker"}, func(emit func(int64, ...string)) {
+			for _, ws := range c.ring.workers() {
+				v := int64(0)
+				switch ws.Breaker {
+				case breakerOpen.String():
+					v = 1
+				case breakerHalfOpen.String():
+					v = 2
+				}
+				emit(v, ws.URL)
+			}
+		})
+	c.breakerOpened = m.Counter("dyncomp_coord_breaker_opened_total", "Breakers opened (worker benched).")
+	c.breakerClosedN = m.Counter("dyncomp_coord_breaker_closed_total", "Breakers closed by a successful readiness probe.")
+	c.chunkRetries = m.Counter("dyncomp_coord_chunk_retries_total", "Chunk dispatch attempts past the first.")
+	m.GaugeFunc("dyncomp_coord_jobs", "Jobs in the table.", func() int64 { return int64(c.jobs.Len()) })
+	c.jobsEvicted = m.Counter("dyncomp_coord_jobs_evicted_total", "Settled jobs evicted by TTL or the MaxJobs cap.")
+	c.compactions = m.Counter("dyncomp_coord_store_compactions_total", "Store compactions past evicted jobs.")
+	c.panics = m.Counter("dyncomp_coord_panics_total", "Handler panics recovered by the middleware.")
+	c.storeErrors = m.CounterVec("dyncomp_coord_store_errors_total",
+		"Job store operations that failed, by operation (append_job, append_chunk, append_state, compact).", "op")
 }
 
 // handleReadyz answers whether the coordinator can make progress:
@@ -73,16 +49,14 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // pure liveness.
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if c.baseCtx.Err() != nil {
-		writeError(w, &serve.RequestError{Status: http.StatusServiceUnavailable,
-			Code: serve.CodeUnavailable, Msg: "coordinator shutting down"})
+		serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeUnavailable, "coordinator shutting down")
 		return
 	}
 	if c.ring.alive() == 0 {
-		writeError(w, &serve.RequestError{Status: http.StatusServiceUnavailable,
-			Code: serve.CodeUnavailable, Msg: "no worker in rotation"})
+		serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeUnavailable, "no worker in rotation")
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 	}{Status: "ready"})
 }

@@ -75,7 +75,9 @@ func TestResultsStreamWriteDeadline(t *testing.T) {
 
 	// Fabricate a running job with ~8MB of arrived points: replay blocks
 	// on the socket once the kernel buffers fill.
-	j := &job{id: "job-900001", state: jobRunning, changed: make(chan struct{})}
+	j := &job{}
+	j.Info.ID = "job-900001"
+	j.Start(nil, time.Now())
 	padding := strings.Repeat("x", 4096)
 	for i := 0; i < 2000; i++ {
 		j.arrived = append(j.arrived, serve.ChunkPoint{
@@ -98,9 +100,9 @@ func TestEventsStreamWriteDeadline(t *testing.T) {
 	// A snapshot bigger than any socket buffer: the initial state event
 	// cannot complete against a non-reading consumer, so the write
 	// deadline is the only way out.
-	j := &job{id: "job-900002", state: jobRunning, total: 1,
-		scenario: strings.Repeat("x", 32<<20),
-		changed:  make(chan struct{})}
+	j := &job{}
+	j.Info = serve.Job{ID: "job-900002", Total: 1, Scenario: strings.Repeat("x", 32<<20)}
+	j.Start(nil, time.Now())
 	c.register(j)
 
 	stop := stalledStream(t, ts.URL, "/v1/sweeps/job-900002/events")
