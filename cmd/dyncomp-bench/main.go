@@ -3,7 +3,8 @@
 // engine with nanoseconds per point (one point = one full run of the
 // scenario, best of -reps) and the kernel work paid. CI runs it on
 // every build and uploads BENCH_engines.json as an artifact, so the
-// per-engine cost trend is trackable across commits.
+// per-engine cost trend is trackable across commits; the committed copy
+// pins each engine's deterministic kernel-work counts (main_test.go).
 //
 // It also measures the ComputeInstant hot path — interpreted versus
 // compiled Step cost per graph size, and the allocation profile of a
@@ -148,40 +149,10 @@ func main() {
 	if *tokens < 1 {
 		fatal(fmt.Errorf("-tokens must be >= 1 (got %d)", *tokens))
 	}
-	sc, err := zoo.LookupScenario("didactic")
+	report, err := engineReport(*tokens, *reps)
 	if err != nil {
 		fatal(err)
 	}
-	params := zoo.ParamMap{"tokens": int64(*tokens)}
-	report := benchReport{Scenario: sc.Name, Tokens: *tokens, Reps: *reps}
-	ctx := context.Background()
-	for _, name := range engine.Names() {
-		eng, err := engine.Lookup(name)
-		if err != nil {
-			fatal(err)
-		}
-		opts := engine.Options{AbstractGroup: sc.GroupFor(name, params)}
-		var best *engineBench
-		for r := 0; r < *reps; r++ {
-			res, err := eng.Run(ctx, sc.Build(params), opts)
-			if err != nil {
-				fatal(fmt.Errorf("%s: %w", name, err))
-			}
-			if best == nil || res.WallNs < best.NsPerPoint {
-				best = &engineBench{
-					Engine:      name,
-					NsPerPoint:  res.WallNs,
-					Events:      res.Events,
-					Activations: res.Activations,
-					GraphNodes:  res.GraphNodes,
-					Switches:    res.Switches,
-					Fallbacks:   res.Fallbacks,
-				}
-			}
-		}
-		report.Engines = append(report.Engines, *best)
-	}
-
 	writeJSON(*out, report)
 	if *computeOut != "" {
 		crep := computeInstantReport(*steps, *tokens)
@@ -213,6 +184,48 @@ func main() {
 		}
 		writeJSON(*serveOut, lrep)
 	}
+}
+
+// engineReport runs every registered engine on the didactic scenario at
+// the given token count, keeping each engine's best wall time of reps
+// runs. The kernel-work counts are deterministic; the committed
+// BENCH_engines.json pins them (see main_test.go).
+func engineReport(tokens, reps int) (benchReport, error) {
+	report := benchReport{Tokens: tokens, Reps: reps}
+	sc, err := zoo.LookupScenario("didactic")
+	if err != nil {
+		return report, err
+	}
+	report.Scenario = sc.Name
+	params := zoo.ParamMap{"tokens": int64(tokens)}
+	ctx := context.Background()
+	for _, name := range engine.Names() {
+		eng, err := engine.Lookup(name)
+		if err != nil {
+			return report, err
+		}
+		opts := engine.Options{AbstractGroup: sc.GroupFor(name, params)}
+		var best *engineBench
+		for r := 0; r < reps; r++ {
+			res, err := eng.Run(ctx, sc.Build(params), opts)
+			if err != nil {
+				return report, fmt.Errorf("%s: %w", name, err)
+			}
+			if best == nil || res.WallNs < best.NsPerPoint {
+				best = &engineBench{
+					Engine:      name,
+					NsPerPoint:  res.WallNs,
+					Events:      res.Events,
+					Activations: res.Activations,
+					GraphNodes:  res.GraphNodes,
+					Switches:    res.Switches,
+					Fallbacks:   res.Fallbacks,
+				}
+			}
+		}
+		report.Engines = append(report.Engines, *best)
+	}
+	return report, nil
 }
 
 // sweepSamplingReport measures surrogate-guided sampling on the Table-I

@@ -120,10 +120,6 @@ type Options struct {
 	// Progress, when non-nil, is invoked at every phase boundary with the
 	// number of completed iterations and the total.
 	Progress func(done, total int)
-	// Interpreted forces every abstract phase through the tree-walking
-	// graph interpreter instead of the compiled evaluation program. Off
-	// by default; the property tests flip it.
-	Interpreted bool
 }
 
 // Phase is one maximal span of iterations executed in a single mode.
@@ -485,15 +481,9 @@ func (r *runner) runAbstract(k0 int) (int, error) {
 		return k0, err
 	}
 	// The hot switch seeds the compiled evaluator's ring directly from
-	// the recorded live trace; the compiled and interpreted evaluators
-	// share the ring layout, so SeedHistory is mode-agnostic.
-	var ev *tdg.Evaluator
-	if prog := dres.Program(); prog != nil && !r.opts.Interpreted {
-		ev = prog.NewEvaluator()
-		defer ev.Release()
-	} else if ev, err = tdg.NewEvaluator(dres.Graph); err != nil {
-		return k0, err
-	}
+	// the recorded live trace.
+	ev := dres.Program().NewEvaluator()
+	defer ev.Release()
 	if err := ev.SeedHistory(k0, r.hist); err != nil {
 		return k0, err
 	}

@@ -48,8 +48,8 @@ func RunBatch(lanes []*derive.Result, opts BatchOptions) ([]*Result, []error, er
 	progs := make([]*tdg.Program, L)
 	iters := make([]int, L)
 	for l, res := range lanes {
-		if res == nil || res.Program() == nil {
-			return nil, nil, fmt.Errorf("core: batch lane %d has no compiled program", l)
+		if res == nil {
+			return nil, nil, fmt.Errorf("core: batch lane %d has no derivation", l)
 		}
 		progs[l] = res.Program()
 		iter, err := iterations(res)

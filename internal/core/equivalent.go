@@ -41,11 +41,6 @@ type Options struct {
 	// IterLimit, when positive, bounds the evolution to iterations
 	// [0, IterLimit): every source stops after token IterLimit-1.
 	IterLimit int
-	// Interpreted forces ComputeInstant through the tree-walking graph
-	// interpreter instead of the compiled evaluation program. Off by
-	// default (the compiled path is bit-exact and faster); the property
-	// tests flip it to prove exactly that.
-	Interpreted bool
 }
 
 // Result reports a completed run.
@@ -126,13 +121,7 @@ func (m *Model) Run(opts Options) (*Result, error) {
 		iter = opts.IterLimit
 	}
 	k := sim.New()
-	var ev *tdg.Evaluator
-	if prog := m.res.Program(); prog != nil && !opts.Interpreted {
-		ev = prog.NewEvaluator()
-	} else if ev, err = tdg.NewEvaluator(m.res.Graph); err != nil {
-		return nil, err
-	}
-
+	ev := m.res.Program().NewEvaluator()
 	eng := engineFor(m.res, iter, k, ev, opts.Trace)
 	eng.build()
 	runErr := k.Run(limit)

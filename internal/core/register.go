@@ -44,10 +44,9 @@ func (eqEngine) Run(ctx context.Context, a *model.Architecture, opts uni.Options
 	}
 	begin := time.Now()
 	res, err := m.Run(Options{
-		Trace:       trace,
-		Limit:       sim.Time(opts.LimitNs),
-		IterLimit:   opts.IterLimit,
-		Interpreted: opts.Interpreted,
+		Trace:     trace,
+		Limit:     sim.Time(opts.LimitNs),
+		IterLimit: opts.IterLimit,
 	})
 	if err != nil {
 		return nil, err
@@ -77,11 +76,6 @@ func (eqEngine) RunBatch(ctx context.Context, archs []*model.Architecture, opts 
 	}
 	if len(archs) == 0 {
 		return nil, nil, fmt.Errorf("core: RunBatch with no architectures")
-	}
-	if opts.Interpreted {
-		// The interpreter walks arc lists per graph; there is no batched
-		// form of it. Callers fall back to scalar runs.
-		return nil, nil, fmt.Errorf("core: batched evaluation requires the compiled path")
 	}
 	var lanes []*derive.Result
 	var err error

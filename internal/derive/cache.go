@@ -41,10 +41,10 @@ type Cache struct {
 const DefaultEntries = 1024
 
 // entryKeyFor extends a structural shape key with the derivation options
-// that change the template (pad nodes, reduction, compilation), so one
-// cache serves differently-derived views of one shape side by side.
+// that change the template (pad nodes, reduction), so one cache serves
+// differently-derived views of one shape side by side.
 func entryKeyFor(key string, opts Options) string {
-	return fmt.Sprintf("%s\x00pad=%d reduce=%t nocompile=%t", key, opts.PadNodes, opts.Reduce, opts.NoCompile)
+	return fmt.Sprintf("%s\x00pad=%d reduce=%t", key, opts.PadNodes, opts.Reduce)
 }
 
 type cacheEntry struct {

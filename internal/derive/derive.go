@@ -46,11 +46,6 @@ type Options struct {
 	// producing graphs as minimal as the paper's hand-written ones. Off by
 	// default to keep the derived structure literal.
 	Reduce bool
-	// NoCompile skips compiling the derived graph into a flat evaluation
-	// program (tdg.Compile), leaving engines on the tree-walking
-	// interpreter. Compilation is on by default; the flag exists for the
-	// bit-exactness property tests and as an escape hatch.
-	NoCompile bool
 }
 
 // Probe locates one execution on the graph for resource-usage
@@ -138,9 +133,9 @@ type Result struct {
 	prog *tdg.Program
 }
 
-// Program returns the compiled evaluation program of the derived graph,
-// or nil when compilation was skipped (Options.NoCompile). Engines
-// prefer it over interpreting Result.Graph; both evaluate bit-exactly.
+// Program returns the compiled evaluation program of the derived graph.
+// It is never nil: Derive and Rebind always compile (or patch) one, and
+// every engine evaluates through it rather than walking Result.Graph.
 func (res *Result) Program() *tdg.Program { return res.prog }
 
 // term is one max-term of a readiness expression during symbolic
@@ -238,10 +233,8 @@ func Derive(a *model.Architecture, opts Options) (*Result, error) {
 		res.chWrite[i] = d.writeNode[ch]
 		res.chRead[i] = d.readNode[ch]
 	}
-	if !opts.NoCompile {
-		if res.prog, err = tdg.Compile(d.g); err != nil {
-			return nil, err
-		}
+	if res.prog, err = tdg.Compile(d.g); err != nil {
+		return nil, err
 	}
 	if err := res.buildBindings(); err != nil {
 		return nil, err

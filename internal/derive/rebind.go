@@ -186,13 +186,11 @@ func rebind(base *Result, a *model.Architecture, key string) (*Result, error) {
 		recipes:   base.recipes,
 		probeRefs: base.probeRefs,
 	}
-	if base.prog != nil {
-		// Patch the compiled weight tables against the rebound graph
-		// instead of recompiling; the rebound program shares the
-		// template's structure arrays and evaluator pool.
-		if res.prog, err = base.prog.Rebound(g); err != nil {
-			return nil, err
-		}
+	// Patch the compiled weight tables against the rebound graph instead
+	// of recompiling; the rebound program shares the template's structure
+	// arrays and evaluator pool.
+	if res.prog, err = base.prog.Rebound(g); err != nil {
+		return nil, err
 	}
 	if err := res.buildBindings(); err != nil {
 		return nil, err

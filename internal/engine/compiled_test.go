@@ -12,11 +12,13 @@ import (
 
 // The compiled-evaluator acceptance property: on every registered
 // scenario, every registered engine produces bit-exact evolution
-// instants whether ComputeInstant runs the compiled evaluation program
-// (the default) or the tree-walking interpreter, and both match the
-// reference executor. This covers the equivalent model's Step loop, the
-// hybrid engine's wave evaluation with SetValue/PeekDelayed on the
-// boundary, and the adaptive engine's SeedHistory resume windows.
+// instants from the compiled evaluation program, against the reference
+// executor, on a first run and again on a second run of the same shape —
+// the second is served from the derivation cache and from evaluators
+// pooled by the first run's Release, so any state left behind in a
+// recycled ring would show here. This covers the equivalent model's Step
+// loop, the hybrid engine's wave evaluation with SetValue/PeekDelayed on
+// the boundary, and the adaptive engine's SeedHistory resume windows.
 func TestCompiledEvaluatorBitExactEverywhere(t *testing.T) {
 	ctx := context.Background()
 	ref, err := engine.Lookup("reference")
@@ -43,24 +45,23 @@ func TestCompiledEvaluatorBitExactEverywhere(t *testing.T) {
 					continue
 				}
 				var traces [2]*observe.Trace
-				for i, interpreted := range []bool{false, true} {
+				for i := range traces {
 					r, err := eng.Run(ctx, sc.Build(testParams), engine.Options{
 						Record:        true,
 						AbstractGroup: group,
-						Interpreted:   interpreted,
 					})
 					if err != nil {
-						t.Errorf("%s (interpreted=%t) on %s: %v", name, interpreted, sc.Name, err)
+						t.Errorf("%s (run %d) on %s: %v", name, i+1, sc.Name, err)
 						continue
 					}
 					traces[i] = r.Trace
 					if err := observe.CompareInstants(rr.Trace, r.Trace); err != nil {
-						t.Errorf("%s (interpreted=%t) differs from reference on %s: %v", name, interpreted, sc.Name, err)
+						t.Errorf("%s (run %d) differs from reference on %s: %v", name, i+1, sc.Name, err)
 					}
 				}
 				if traces[0] != nil && traces[1] != nil {
-					if err := observe.CompareInstants(traces[1], traces[0]); err != nil {
-						t.Errorf("%s: compiled differs from interpreted on %s: %v", name, sc.Name, err)
+					if err := observe.CompareInstants(traces[0], traces[1]); err != nil {
+						t.Errorf("%s: second run differs from first on %s: %v", name, sc.Name, err)
 					}
 				}
 			}
@@ -70,36 +71,31 @@ func TestCompiledEvaluatorBitExactEverywhere(t *testing.T) {
 
 // TestCompiledAdaptiveHotSwitchResume drives the adaptive engine through
 // real detailed→abstract→detailed transitions on the phase-changing
-// workload and checks the compiled evaluator seeds its ring from the
-// live trace exactly as the interpreter does.
+// workload and checks the compiled evaluator, seeded from the live trace
+// at every hot switch, reproduces the reference executor's evolution.
 func TestCompiledAdaptiveHotSwitchResume(t *testing.T) {
 	sc, err := zoo.LookupScenario("phased")
 	if err != nil {
 		t.Fatal(err)
 	}
 	params := zoo.ParamMap{"tokens": 120, "seed": 5}
-	run := func(interpreted bool) (*adaptive.Result, *observe.Trace) {
-		trace := observe.NewTrace("phased/adaptive")
-		res, err := adaptive.Run(sc.Build(params), adaptive.Options{
-			Trace:       trace,
-			Window:      4,
-			Interpreted: interpreted,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, trace
+	ref, err := engine.Lookup("reference")
+	if err != nil {
+		t.Fatal(err)
 	}
-	cRes, cTrace := run(false)
-	iRes, iTrace := run(true)
-	if cRes.Switches == 0 || cRes.Fallbacks == 0 {
-		t.Fatalf("workload did not exercise hot switching: %d switches, %d fallbacks", cRes.Switches, cRes.Fallbacks)
+	rr, err := ref.Run(context.Background(), sc.Build(params), engine.Options{Record: true})
+	if err != nil {
+		t.Fatalf("reference: %v", err)
 	}
-	if cRes.Switches != iRes.Switches || cRes.Fallbacks != iRes.Fallbacks {
-		t.Fatalf("switch counts differ: compiled %d/%d, interpreted %d/%d",
-			cRes.Switches, cRes.Fallbacks, iRes.Switches, iRes.Fallbacks)
+	trace := observe.NewTrace("phased/adaptive")
+	res, err := adaptive.Run(sc.Build(params), adaptive.Options{Trace: trace, Window: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := observe.CompareInstants(iTrace, cTrace); err != nil {
-		t.Fatalf("compiled adaptive trace differs from interpreted: %v", err)
+	if res.Switches == 0 || res.Fallbacks == 0 {
+		t.Fatalf("workload did not exercise hot switching: %d switches, %d fallbacks", res.Switches, res.Fallbacks)
+	}
+	if err := observe.CompareInstants(rr.Trace, trace); err != nil {
+		t.Fatalf("compiled adaptive trace differs from reference: %v", err)
 	}
 }

@@ -72,13 +72,6 @@ type Options struct {
 	// boundaries — the adaptive engine at every mode switch, the others
 	// once at completion — always from the calling goroutine.
 	Progress func(done, total int)
-	// Interpreted forces ComputeInstant through the tree-walking graph
-	// interpreter instead of the compiled evaluation program
-	// (tdg.Compile). Off by default: the compiled path is bit-exact —
-	// the cross-engine property tests run both and compare — and
-	// substantially faster. The reference executor evaluates no graph
-	// and ignores it.
-	Interpreted bool
 }
 
 // Result is the unified report of a completed run. Fields an engine

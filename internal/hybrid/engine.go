@@ -36,7 +36,7 @@ type engine struct {
 
 	// Evaluation state.
 	graph    *tdg.Graph
-	prog     *tdg.Program // nil: interpret the graph's arc lists
+	prog     *tdg.Program
 	depth    int
 	ring     []maxplus.T
 	nodeDone []int // computed iterations per node
@@ -265,27 +265,9 @@ func (e *engine) runComputer(p *sim.Proc) {
 					block()
 				}
 			}
-			var acc maxplus.T
-			if e.prog != nil {
-				// The compiled arc table shares the evaluator ring layout,
-				// so the wave evaluation gets the flat fast path too.
-				acc = e.prog.EvalIncoming(e.ring, id, k)
-			} else {
-				acc = maxplus.Epsilon
-				for _, a := range e.graph.Incoming(id) {
-					if a.Delay > k {
-						continue
-					}
-					src := *e.slot(a.From, k-a.Delay)
-					if src == maxplus.Epsilon {
-						continue
-					}
-					v := a.Weight.Apply(src, k)
-					if v > acc {
-						acc = v
-					}
-				}
-			}
+			// The compiled arc table shares the evaluator ring layout, so
+			// the wave evaluation gets the flat fast path too.
+			acc := e.prog.EvalIncoming(e.ring, id, k)
 			*e.slot(id, k) = acc
 			e.nodeDone[id] = k + 1
 			if id == e.outNode {

@@ -58,10 +58,6 @@ type Options struct {
 	// group's graph (e.g. from a design-space sweep); nil derives
 	// privately.
 	Cache *derive.Cache
-	// Interpreted forces the group's instants through the tree-walking
-	// graph interpreter instead of the compiled evaluation program. Off
-	// by default; the property tests flip it.
-	Interpreted bool
 }
 
 // Result reports a completed hybrid run.
@@ -138,9 +134,6 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	}
 
 	eng := newEngine(a, sub, dres, kern, opts.Trace, iters)
-	if opts.Interpreted {
-		eng.prog = nil
-	}
 	eng.build(boundary)
 
 	if err := kern.Run(limit); err != nil {

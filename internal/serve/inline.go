@@ -12,8 +12,6 @@ package serve
 // dependency graph exactly as repeated scenario requests do.
 
 import (
-	"context"
-	"errors"
 	"net/http"
 	"strings"
 
@@ -89,85 +87,40 @@ func inlineHybridGroup(eng engine.Engine, spec *archjson.Spec, requested []strin
 		"architecture %q declares no abstraction group; set options.group", spec.Name)
 }
 
-// handleRunInline is POST /v1/run for requests carrying an inline
-// architecture: same evaluation, cache and metrics path as a scenario
-// run, different model source.
-func (s *Server) handleRunInline(w http.ResponseWriter, r *http.Request, req RunRequest) {
+// resolveRunInline is resolveRun for requests carrying an inline
+// architecture. A spec that fails to build answers 400
+// invalid_architecture: resolved-value violations the structural check
+// cannot see (e.g. a parameter binding driving a speed to zero) are the
+// request's fault.
+func resolveRunInline(req RunRequest) (*runTarget, *RequestError) {
 	eng, spec, aerr := resolveInline(req.Engine, req.Scenario, req.Architecture, req.Params)
 	if aerr != nil {
-		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
-		return
+		return nil, aerr
 	}
 	group, aerr := inlineHybridGroup(eng, spec, req.Options.Group)
 	if aerr != nil {
-		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
-		return
+		return nil, aerr
 	}
 	a, err := spec.Build(zoo.ParamMap(req.Params))
 	if err != nil {
-		// Resolved-value violations the structural check cannot see
-		// (e.g. a parameter binding driving a speed to zero).
-		WriteError(w, http.StatusBadRequest, CodeInvalidArchitecture, "%v", err)
-		return
+		return nil, requestErrorf(http.StatusBadRequest, CodeInvalidArchitecture, "%v", err)
 	}
-	if !s.admitPoints(w, r, 1) {
-		return
-	}
-
-	opts := req.Options.engineOptions(group)
-	opts.Cache = s.cache
-	res, err := runEngine(r.Context(), eng, a, opts)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
-				"run exceeded the request deadline")
-			return
-		}
-		if errors.Is(err, context.Canceled) {
-			// The caller went away; there is nobody to answer.
-			return
-		}
-		WriteError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
-		return
-	}
-	s.runs.Inc(eng.Name())
-	hits, misses := s.cache.Stats()
-	WriteJSON(w, http.StatusOK, RunResponse{
-		Engine:       eng.Name(),
-		Architecture: spec.Name,
-		Result:       resultJSON(res),
-		Cache:        CacheStats{Shapes: s.cache.Shapes(), Hits: hits, Misses: misses},
-	})
+	return &runTarget{eng: eng, group: group, arch: a,
+		resp: RunResponse{Engine: eng.Name(), Architecture: spec.Name}}, nil
 }
 
 // compileSweepInline is CompileSweep for requests carrying an inline
-// architecture. Axes must name parameters the spec declares (a typoed
-// axis would sweep a knob no expression reads, evaluating one point N
-// times); the per-point generator rebuilds the spec under the layered
+// architecture: axes must name parameters the spec declares, and the
+// per-point generator rebuilds the spec under the layered
 // point-over-fixed binding exactly like the scenario path.
 func compileSweepInline(req SweepRequest, d SweepDefaults) (*SweepPlan, *RequestError) {
 	eng, spec, aerr := resolveInline(req.Engine, req.Scenario, req.Architecture, req.Params)
 	if aerr != nil {
 		return nil, aerr
 	}
-	axes, err := sweepAxes(req.Axes)
-	if err != nil {
-		return nil, requestErrorf(http.StatusBadRequest, CodeInvalidAxes, "%v", err)
-	}
-	axisParams := map[string]int64{}
-	for _, ax := range axes {
-		axisParams[ax.Name] = ax.Values[0]
-	}
-	if err := spec.CheckParams(axisParams); err != nil {
-		return nil, requestErrorf(http.StatusBadRequest, CodeInvalidAxes, "%v", err)
-	}
-	points := 1
-	for _, ax := range axes {
-		points *= len(ax.Values)
-		if points > d.MaxGridPoints {
-			return nil, requestErrorf(http.StatusBadRequest, CodeGridTooLarge,
-				"grid exceeds %d points", d.MaxGridPoints)
-		}
+	axes, points, aerr := compileAxes(req.Axes, spec.CheckParams, d.MaxGridPoints)
+	if aerr != nil {
+		return nil, aerr
 	}
 	group, aerr := inlineHybridGroup(eng, spec, req.Options.Group)
 	if aerr != nil {

@@ -94,42 +94,63 @@ func runEngine(ctx context.Context, eng engine.Engine, a *model.Architecture, op
 	return eng.Run(ctx, a, opts)
 }
 
-// handleRun serves POST /v1/run: decode, resolve against the two
-// registries, evaluate synchronously on the caller's request context
-// (a dropped connection cancels the run at the engine's granularity),
-// and answer with the unified result plus a cache snapshot.
+// runTarget is a /v1/run request resolved to what to evaluate: the
+// engine, its abstraction group and the built architecture, plus the
+// response naming the model source (scenario or inline architecture).
+type runTarget struct {
+	eng   engine.Engine
+	group []string
+	arch  *model.Architecture
+	resp  RunResponse
+}
+
+// resolveRun resolves a /v1/run request: an inline architecture
+// through resolveRunInline, anything else against the scenario
+// registry. A scenario builder that fails answers 422 run_failed: the
+// request was well-formed, the model it selects could not be built.
+func resolveRun(req RunRequest) (*runTarget, *RequestError) {
+	if hasArchitecture(req.Architecture) {
+		return resolveRunInline(req)
+	}
+	eng, sc, pm, aerr := resolve(req.Engine, req.Scenario, req.Params)
+	if aerr != nil {
+		return nil, aerr
+	}
+	group, aerr := hybridGroup(eng, sc, req.Options.Group, pm)
+	if aerr != nil {
+		return nil, aerr
+	}
+	a, err := buildArchitecture(sc, pm)
+	if err != nil {
+		return nil, requestErrorf(http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
+	}
+	return &runTarget{eng: eng, group: group, arch: a,
+		resp: RunResponse{Engine: eng.Name(), Scenario: sc.Name}}, nil
+}
+
+// handleRun serves POST /v1/run: decode, resolve the model source (a
+// registered scenario or an inline architecture), evaluate
+// synchronously on the caller's request context (a dropped connection
+// cancels the run at the engine's granularity), and answer with the
+// unified result plus a cache snapshot.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	if aerr := DecodeJSON(w, r, &req); aerr != nil {
 		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
-	if hasArchitecture(req.Architecture) {
-		s.handleRunInline(w, r, req)
-		return
-	}
-	eng, sc, pm, aerr := resolve(req.Engine, req.Scenario, req.Params)
+	t, aerr := resolveRun(req)
 	if aerr != nil {
 		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
-		return
-	}
-	group, aerr := hybridGroup(eng, sc, req.Options.Group, pm)
-	if aerr != nil {
-		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
-		return
-	}
-	a, err := buildArchitecture(sc, pm)
-	if err != nil {
-		WriteError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
 		return
 	}
 	if !s.admitPoints(w, r, 1) {
 		return
 	}
 
-	opts := req.Options.engineOptions(group)
+	opts := req.Options.engineOptions(t.group)
 	opts.Cache = s.cache
-	res, err := runEngine(r.Context(), eng, a, opts)
+	res, err := runEngine(r.Context(), t.eng, t.arch, opts)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
@@ -143,12 +164,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
 		return
 	}
-	s.runs.Inc(eng.Name())
+	s.runs.Inc(t.eng.Name())
 	hits, misses := s.cache.Stats()
-	WriteJSON(w, http.StatusOK, RunResponse{
-		Engine:   eng.Name(),
-		Scenario: sc.Name,
-		Result:   resultJSON(res),
-		Cache:    CacheStats{Shapes: s.cache.Shapes(), Hits: hits, Misses: misses},
-	})
+	resp := t.resp
+	resp.Result = resultJSON(res)
+	resp.Cache = CacheStats{Shapes: s.cache.Shapes(), Hits: hits, Misses: misses}
+	WriteJSON(w, http.StatusOK, resp)
 }

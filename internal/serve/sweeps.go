@@ -121,27 +121,11 @@ func CompileSweep(req SweepRequest, d SweepDefaults) (*SweepPlan, *RequestError)
 	if aerr != nil {
 		return nil, aerr
 	}
-	axes, err := sweepAxes(req.Axes)
-	if err != nil {
-		return nil, requestErrorf(http.StatusBadRequest, CodeInvalidAxes, "%v", err)
-	}
-	// Axis names are scenario parameters too: a typoed axis would sweep
-	// a knob the builder never reads, silently evaluating one point N
-	// times.
-	axisParams := zoo.ParamMap{}
-	for _, ax := range axes {
-		axisParams[ax.Name] = ax.Values[0]
-	}
-	if err := sc.CheckParams(axisParams); err != nil {
-		return nil, requestErrorf(http.StatusBadRequest, CodeInvalidAxes, "%v", err)
-	}
-	points := 1
-	for _, ax := range axes {
-		points *= len(ax.Values)
-		if points > d.MaxGridPoints {
-			return nil, requestErrorf(http.StatusBadRequest, CodeGridTooLarge,
-				"grid exceeds %d points", d.MaxGridPoints)
-		}
+	axes, points, aerr := compileAxes(req.Axes, func(p map[string]int64) error {
+		return sc.CheckParams(p)
+	}, d.MaxGridPoints)
+	if aerr != nil {
+		return nil, aerr
 	}
 	if _, aerr := hybridGroup(eng, sc, req.Options.Group, fixed); aerr != nil {
 		return nil, aerr
@@ -170,6 +154,33 @@ func CompileSweep(req SweepRequest, d SweepDefaults) (*SweepPlan, *RequestError)
 			return sc.Build(layeredParams{p: p, fixed: fixed}), nil
 		},
 	}, nil
+}
+
+// compileAxes converts the wire axes and bounds the grid they span.
+// Axis names are model parameters too, checked by the model source's
+// check: a typoed axis would sweep a knob no builder reads, silently
+// evaluating one point N times.
+func compileAxes(wire []Axis, check func(map[string]int64) error, maxPoints int) ([]sweep.Axis, int, *RequestError) {
+	axes, err := sweepAxes(wire)
+	if err != nil {
+		return nil, 0, requestErrorf(http.StatusBadRequest, CodeInvalidAxes, "%v", err)
+	}
+	axisParams := map[string]int64{}
+	for _, ax := range axes {
+		axisParams[ax.Name] = ax.Values[0]
+	}
+	if err := check(axisParams); err != nil {
+		return nil, 0, requestErrorf(http.StatusBadRequest, CodeInvalidAxes, "%v", err)
+	}
+	points := 1
+	for _, ax := range axes {
+		points *= len(ax.Values)
+		if points > maxPoints {
+			return nil, 0, requestErrorf(http.StatusBadRequest, CodeGridTooLarge,
+				"grid exceeds %d points", maxPoints)
+		}
+	}
+	return axes, points, nil
 }
 
 // prepareSweep is CompileSweep under this server's configured defaults.

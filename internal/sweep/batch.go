@@ -35,8 +35,8 @@ type genPoint struct {
 // alignment is what keeps the fleet's batch accounting bit-identical to
 // a single-process sweep.
 func CohortKey(shape string, dopts derive.Options, group []string) string {
-	return fmt.Sprintf("%s\x00pad=%d reduce=%t nocompile=%t\x00%s",
-		shape, dopts.PadNodes, dopts.Reduce, dopts.NoCompile, strings.Join(group, ","))
+	return fmt.Sprintf("%s\x00pad=%d reduce=%t\x00%s",
+		shape, dopts.PadNodes, dopts.Reduce, strings.Join(group, ","))
 }
 
 // runBatched is the batch-first evaluation strategy: pre-generate every

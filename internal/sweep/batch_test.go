@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
-	"dyncomp/internal/derive"
+	"dyncomp/internal/engine"
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
@@ -141,13 +142,12 @@ func TestBatchedSweepProgressReachesTotalOnCancel(t *testing.T) {
 	}
 }
 
-// Engines without the batch capability and interpreted sweeps silently
-// use the per-point path: same results, zero batch counters.
+// Engines without the batch capability silently use the per-point
+// path: same results, zero batch counters.
 func TestBatchedSweepFallsBackWithoutCapability(t *testing.T) {
 	axes := []Axis{{Name: "seed", Values: []int64{1, 2, 3, 4}}}
 	for _, opts := range []Options{
 		{Engine: "adaptive", BatchWidth: 8},
-		{Interpreted: true, BatchWidth: 8},
 		{Engine: "reference", BatchWidth: 8},
 	} {
 		res, err := Run(axes, didacticGen, opts)
@@ -163,18 +163,42 @@ func TestBatchedSweepFallsBackWithoutCapability(t *testing.T) {
 	}
 }
 
+// batchFailsEngine is the equivalent engine with a batched path that
+// always fails wholesale — the signal the sweep answers by re-running
+// the chunk's points one by one. Registered only in this test binary.
+type batchFailsEngine struct{ batches *atomic.Int64 }
+
+var batchFails = batchFailsEngine{batches: new(atomic.Int64)}
+
+func init() { engine.Register(batchFails) }
+
+func (batchFailsEngine) Name() string { return "batch-fails" }
+
+func (batchFailsEngine) Run(ctx context.Context, a *model.Architecture, opts engine.Options) (*engine.Result, error) {
+	eq, err := engine.Lookup(DefaultEngine)
+	if err != nil {
+		return nil, err
+	}
+	return eq.Run(ctx, a, opts)
+}
+
+func (e batchFailsEngine) RunBatch(context.Context, []*model.Architecture, engine.Options) ([]*engine.Result, []error, error) {
+	e.batches.Add(1)
+	return nil, nil, errors.New("batch-fails: wholesale failure")
+}
+
 // A wholesale batch failure falls back to scalar evaluation instead of
-// failing the chunk's points: NoCompile derivations have no compiled
-// program, which the batched path requires, so every chunk degrades to
-// per-point interpreter runs — and still succeeds.
+// failing the chunk's points: every chunk's RunBatch fails, every point
+// re-runs on the per-point path — and still succeeds.
 func TestBatchedSweepScalarFallbackOnWholesaleFailure(t *testing.T) {
 	axes := []Axis{{Name: "seed", Values: []int64{1, 2, 3, 4, 5}}}
-	res, err := Run(axes, didacticGen, Options{
-		BatchWidth: 4,
-		Derive:     derive.Options{NoCompile: true},
-	})
+	before := batchFails.batches.Load()
+	res, err := Run(axes, didacticGen, Options{Engine: batchFails.Name(), BatchWidth: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if attempts := batchFails.batches.Load() - before; attempts != 2 {
+		t.Fatalf("%d batched attempts, want 2 (chunks of 4 and 1)", attempts)
 	}
 	if res.Stats.Failed != 0 {
 		for i := range res.Points {

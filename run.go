@@ -80,12 +80,6 @@ type EngineOptions struct {
 	// switch, the others once at completion. Always invoked from the
 	// calling goroutine.
 	Progress func(done, total int)
-	// Interpreted forces ComputeInstant through the tree-walking graph
-	// interpreter instead of the compiled evaluation program. Off by
-	// default: the compiled evaluator is bit-exact (the property tests
-	// run both and compare) and 2–4× faster per iteration. The reference
-	// executor evaluates no graph and ignores it.
-	Interpreted bool
 }
 
 // EngineResult is the unified report of a completed run; fields an
@@ -149,7 +143,6 @@ func Run(ctx context.Context, engineName string, a *Architecture, opts EngineOpt
 		AbstractGroup: opts.AbstractGroup,
 		Derive:        derive.Options{Reduce: opts.Reduce},
 		Progress:      opts.Progress,
-		Interpreted:   opts.Interpreted,
 	}
 	if opts.Cache != nil {
 		eopts.Cache = opts.Cache.c
