@@ -17,6 +17,7 @@ package dyncomp
 // "simulation speed-up". EXPERIMENTS.md records the measured values.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -277,9 +278,9 @@ func BenchmarkComputeInstant(b *testing.B) {
 // 3-stage didactic chain, derived with arc reduction as the paper's
 // hand-minimal graphs are):
 //
-//   - naive: one RunEquivalent per point, re-deriving and re-reducing
-//     the temporal dependency graph every time (36 derivations per
-//     sweep);
+//   - naive: one equivalent-engine Run per point, re-deriving and
+//     re-reducing the temporal dependency graph every time (36
+//     derivations per sweep);
 //   - cached: dyncomp.Sweep with the structure-keyed derive cache
 //     (1 derivation per sweep) on one worker;
 //   - cached-parallel: the same with one worker per processor.
@@ -304,11 +305,12 @@ func BenchmarkSweep(b *testing.B) {
 
 	b.Run("naive", func(b *testing.B) {
 		b.ReportAllocs()
+		ctx := context.Background()
 		before := derive.Calls()
 		for i := 0; i < b.N; i++ {
 			for _, period := range periods {
 				for _, seed := range seeds {
-					if _, err := RunEquivalent(build(period, seed), RunOptions{Reduce: true}); err != nil {
+					if _, err := Run(ctx, "equivalent", build(period, seed), EngineOptions{Reduce: true}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -11,8 +11,8 @@
 //
 //	a := dyncomp.NewArchitecture("my-soc")
 //	// ... describe channels, functions, resources, mapping, environment
-//	ref, _ := dyncomp.RunReference(a, dyncomp.RunOptions{Record: true})
-//	eq,  _ := dyncomp.RunEquivalent(a, dyncomp.RunOptions{Record: true})
+//	ref, _ := dyncomp.Run(ctx, "reference", a, dyncomp.EngineOptions{Record: true})
+//	eq,  _ := dyncomp.Run(ctx, "equivalent", a, dyncomp.EngineOptions{Record: true})
 //	err := dyncomp.CompareTraces(ref.Trace, eq.Trace) // nil: bit-exact
 //
 // Beyond the two whole-architecture engines, the hybrid engine abstracts
@@ -21,17 +21,14 @@
 // online: it simulates event-by-event until a steady state is confirmed,
 // hot-switches the steady region to the equivalent model, and falls back
 // on every parameter change — all four engines produce bit-exact traces.
-// The engines form a registry: Engines() lists them, Run addresses any
-// of them by name with one unified option set, and Sweep evaluates a
-// parameter grid with any of them across a worker pool, deriving each
-// structural shape exactly once:
+// The engines form a registry: Engines() lists them, Run is the one
+// entry point that runs any of them by name with one option set, and
+// Sweep evaluates a parameter grid with any of them across a worker
+// pool, deriving each structural shape exactly once:
 //
 //	hyb, _ := dyncomp.Run(ctx, "hybrid", a, dyncomp.EngineOptions{AbstractGroup: []string{"F1", "F2"}, Record: true})
-//	ad,  _ := dyncomp.Run(ctx, "adaptive", a, dyncomp.EngineOptions{Record: true})
-//	res, _ := dyncomp.Sweep(axes, gen, dyncomp.SweepOptions{Workers: 8})
-//
-// (RunReference, RunEquivalent, RunHybrid and RunAdaptive remain as
-// compatibility shims over the registry.)
+//	ad,  _ := dyncomp.Run(ctx, "adaptive", a, dyncomp.EngineOptions{Record: true}) // ad.Phases(): mode spans
+//	res, _ := dyncomp.Sweep(axes, gen, dyncomp.SweepOptions{EngineName: "equivalent", Workers: 8})
 //
 // The whole matrix is also served over HTTP: internal/serve and the
 // dyncomp-serve command expose synchronous runs, asynchronous sweep
@@ -55,8 +52,6 @@
 package dyncomp
 
 import (
-	"context"
-
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
@@ -117,97 +112,6 @@ func Periodic(period, offset Time) model.ScheduleFn { return model.Periodic(peri
 
 // Eager returns the always-ready source schedule u(k) = 0.
 func Eager() model.ScheduleFn { return model.Eager() }
-
-// RunOptions configures a simulation run.
-type RunOptions struct {
-	// Record enables evolution-instant and resource-activity recording.
-	Record bool
-	// LimitNs bounds the simulated time in nanoseconds (0: run to
-	// completion).
-	LimitNs int64
-	// Reduce prunes value-redundant arcs from the derived temporal
-	// dependency graph (equivalent model only).
-	Reduce bool
-}
-
-// RunResult reports a completed simulation.
-type RunResult struct {
-	// Trace holds the recorded evolution when RunOptions.Record was set.
-	Trace *Trace
-	// Activations counts kernel context switches (the cost the dynamic
-	// computation method removes).
-	Activations int64
-	// Events counts kernel event-queue operations.
-	Events int64
-	// FinalTimeNs is the simulation time reached.
-	FinalTimeNs int64
-	// GraphNodes is the temporal dependency graph size in the paper's
-	// counting (equivalent model only).
-	GraphNodes int
-}
-
-// runNamed routes one legacy wrapper through the engine registry; the
-// four wrappers below are thin shims over Run kept for compatibility,
-// producing results identical to the pre-registry implementations.
-func runNamed(engineName string, a *Architecture, opts EngineOptions) (*RunResult, error) {
-	r, err := Run(context.Background(), engineName, a, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &RunResult{
-		Trace:       r.Trace,
-		Activations: r.Activations,
-		Events:      r.Events,
-		FinalTimeNs: r.FinalTimeNs,
-		GraphNodes:  r.GraphNodes,
-	}, nil
-}
-
-// RunReference simulates the architecture with the event-driven reference
-// executor — every relation among functions is a simulation event.
-//
-// Deprecated: RunReference is a shim over [Run] with the engine name
-// "reference"; new code should address engines by name through the
-// registry — see the [Run] example (ExampleRun in example_test.go)
-// for the full replacement pattern.
-func RunReference(a *Architecture, opts RunOptions) (*RunResult, error) {
-	return runNamed("reference", a, EngineOptions{
-		Record: opts.Record, LimitNs: opts.LimitNs, Reduce: opts.Reduce,
-	})
-}
-
-// RunEquivalent derives the architecture's temporal dependency graph and
-// simulates its equivalent model: internal evolution instants are
-// computed, not simulated, so only boundary events reach the kernel. The
-// recorded trace is bit-exact against RunReference.
-//
-// Deprecated: RunEquivalent is a shim over [Run] with the engine name
-// "equivalent"; new code should address engines by name through the
-// registry — see the [Run] example for the replacement pattern, and
-// [NewCache] for sharing derivations across such runs.
-func RunEquivalent(a *Architecture, opts RunOptions) (*RunResult, error) {
-	return runNamed("equivalent", a, EngineOptions{
-		Record: opts.Record, LimitNs: opts.LimitNs, Reduce: opts.Reduce,
-	})
-}
-
-// RunHybrid simulates the architecture with only the named group of
-// functions abstracted into an equivalent model; the rest runs
-// event-by-event and both halves meet at the group's boundary channels.
-// This is the paper's general "grouping some of the architecture
-// processes". The group must cover whole resources and emit through one
-// boundary output channel.
-//
-// Deprecated: RunHybrid is a shim over [Run] with the engine name
-// "hybrid" and EngineOptions.AbstractGroup set to group; new code
-// should address engines by name through the registry — see the [Run]
-// example for the replacement pattern.
-func RunHybrid(a *Architecture, group []string, opts RunOptions) (*RunResult, error) {
-	return runNamed("hybrid", a, EngineOptions{
-		Record: opts.Record, LimitNs: opts.LimitNs, Reduce: opts.Reduce,
-		AbstractGroup: group,
-	})
-}
 
 // CompareTraces checks two traces for bit-exact agreement of every
 // evolution instant; a nil result is the paper's accuracy criterion.

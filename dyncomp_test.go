@@ -1,6 +1,7 @@
 package dyncomp
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -31,11 +32,12 @@ func buildSmoke(tokens int) *Architecture {
 }
 
 func TestFacadeEndToEnd(t *testing.T) {
-	ref, err := RunReference(buildSmoke(300), RunOptions{Record: true})
+	ctx := context.Background()
+	ref, err := Run(ctx, "reference", buildSmoke(300), EngineOptions{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := RunEquivalent(buildSmoke(300), RunOptions{Record: true})
+	eq, err := Run(ctx, "equivalent", buildSmoke(300), EngineOptions{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeTimeLimit(t *testing.T) {
-	ref, err := RunReference(buildSmoke(1000), RunOptions{LimitNs: 10_000})
+	ref, err := Run(context.Background(), "reference", buildSmoke(1000), EngineOptions{LimitNs: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +72,12 @@ func TestFacadeTimeLimit(t *testing.T) {
 }
 
 func TestFacadeReduce(t *testing.T) {
-	full, err := RunEquivalent(zoo.Didactic(zoo.DidacticSpec{Tokens: 50, Period: 500, Seed: 1}), RunOptions{})
+	ctx := context.Background()
+	full, err := Run(ctx, "equivalent", zoo.Didactic(zoo.DidacticSpec{Tokens: 50, Period: 500, Seed: 1}), EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := RunEquivalent(zoo.Didactic(zoo.DidacticSpec{Tokens: 50, Period: 500, Seed: 1}), RunOptions{Reduce: true})
+	red, err := Run(ctx, "equivalent", zoo.Didactic(zoo.DidacticSpec{Tokens: 50, Period: 500, Seed: 1}), EngineOptions{Reduce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +87,12 @@ func TestFacadeReduce(t *testing.T) {
 }
 
 func TestFacadeHybrid(t *testing.T) {
-	ref, err := RunReference(buildSmoke(200), RunOptions{Record: true})
+	ctx := context.Background()
+	ref, err := Run(ctx, "reference", buildSmoke(200), EngineOptions{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyb, err := RunHybrid(buildSmoke(200), []string{"stage1", "stage2"}, RunOptions{Record: true})
+	hyb, err := Run(ctx, "hybrid", buildSmoke(200), EngineOptions{AbstractGroup: []string{"stage1", "stage2"}, Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,24 +102,26 @@ func TestFacadeHybrid(t *testing.T) {
 	if hyb.GraphNodes == 0 {
 		t.Fatal("graph nodes not reported")
 	}
-	if _, err := RunHybrid(buildSmoke(10), []string{"nope"}, RunOptions{}); err == nil {
+	if _, err := Run(ctx, "hybrid", buildSmoke(10), EngineOptions{AbstractGroup: []string{"nope"}}); err == nil {
 		t.Fatal("expected error for unknown group member")
 	}
 }
 
 // TestFacadeAdaptive is the public acceptance criterion of the adaptive
-// engine: on the phase-changing workload RunAdaptive produces a
-// bit-exact trace against RunReference while paying at most half the
-// kernel events, with both switch directions exercised.
+// engine: on the phase-changing workload Run(ctx, "adaptive", ...)
+// produces a bit-exact trace against the reference executor while paying
+// at most half the kernel events, with both switch directions exercised
+// and mode spans that tile the whole evolution.
 func TestFacadeAdaptive(t *testing.T) {
 	build := func() *Architecture {
 		return zoo.Phased(zoo.PhasedSpec{Tokens: 1200, Period: 1100, Seed: 7})
 	}
-	ref, err := RunReference(build(), RunOptions{Record: true})
+	ctx := context.Background()
+	ref, err := Run(ctx, "reference", build(), EngineOptions{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad, err := RunAdaptive(build(), AdaptiveOptions{Record: true})
+	ad, err := Run(ctx, "adaptive", build(), EngineOptions{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +137,21 @@ func TestFacadeAdaptive(t *testing.T) {
 	if ad.Switches < 1 || ad.Fallbacks < 1 {
 		t.Fatalf("switching not exercised: %d switches, %d fallbacks", ad.Switches, ad.Fallbacks)
 	}
-	if ad.DetailedIterations+ad.AbstractIterations != 1200 {
-		t.Fatalf("iteration split %d + %d != 1200", ad.DetailedIterations, ad.AbstractIterations)
+	if len(ad.Phases()) < 4 {
+		t.Fatalf("expected several phases, got %+v", ad.Phases())
 	}
-	if len(ad.Phases) < 4 {
-		t.Fatalf("expected several phases, got %+v", ad.Phases)
+	next := 0
+	for i, ph := range ad.Phases() {
+		if ph.StartK != next || ph.EndK <= ph.StartK {
+			t.Fatalf("phase %d spans [%d, %d), want a non-empty span from %d", i, ph.StartK, ph.EndK, next)
+		}
+		if ph.Mode != "detailed" && ph.Mode != "abstract" {
+			t.Fatalf("phase %d has mode %q", i, ph.Mode)
+		}
+		next = ph.EndK
+	}
+	if next != 1200 {
+		t.Fatalf("phases end at iteration %d, want 1200", next)
 	}
 }
 
@@ -156,7 +172,7 @@ func TestSweepAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 	}
 	run := func(workers int) *SweepResult {
 		res, err := Sweep(axes, gen, SweepOptions{
-			Workers: workers, Engine: SweepAdaptive, Record: true})
+			Workers: workers, EngineName: "adaptive", Record: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,10 +197,11 @@ func TestSweepAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 func TestFacadeRejectsInvalid(t *testing.T) {
 	a := NewArchitecture("broken")
 	a.AddChannel("M", Rendezvous, 0)
-	if _, err := RunReference(a, RunOptions{}); err == nil {
+	ctx := context.Background()
+	if _, err := Run(ctx, "reference", a, EngineOptions{}); err == nil {
 		t.Fatal("expected error")
 	}
-	if _, err := RunEquivalent(a, RunOptions{}); err == nil {
+	if _, err := Run(ctx, "equivalent", a, EngineOptions{}); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -226,7 +243,7 @@ func sweepArch(tokens, period, size int64) *Architecture {
 }
 
 // The sweep acceptance property: a ≥32-point grid produces per-point
-// results bit-identical to individual RunEquivalent calls while deriving
+// results bit-identical to individual equivalent-engine Run calls while deriving
 // the shared structural shape exactly once.
 func TestSweepMatchesRunEquivalent(t *testing.T) {
 	axes := []SweepAxis{
@@ -255,16 +272,17 @@ func TestSweepMatchesRunEquivalent(t *testing.T) {
 		if pr.Err != nil {
 			t.Fatalf("point %d: %v", i, pr.Err)
 		}
-		want, err := RunEquivalent(gen2arch(t, gen, pr.Point), RunOptions{Record: true})
+		want, err := Run(context.Background(), "equivalent", gen2arch(t, gen, pr.Point), EngineOptions{Record: true})
 		if err != nil {
-			t.Fatalf("point %d: RunEquivalent: %v", i, err)
+			t.Fatalf("point %d: Run: %v", i, err)
 		}
 		if err := CompareTraces(want.Trace, pr.Trace); err != nil {
-			t.Fatalf("point %d (%s) not bit-identical to RunEquivalent: %v", i, pr.Point, err)
+			t.Fatalf("point %d (%s) not bit-identical to Run: %v", i, pr.Point, err)
 		}
 		if want.Activations != pr.Activations || want.Events != pr.Events ||
-			want.FinalTimeNs != pr.FinalTimeNs || want.GraphNodes != pr.GraphNodes {
-			t.Fatalf("point %d stats differ:\nsweep: %+v\ndirect: %+v", i, pr.RunResult, *want)
+			want.FinalTimeNs != pr.FinalTimeNs || want.GraphNodes != pr.GraphNodes ||
+			want.Iterations != pr.Iterations {
+			t.Fatalf("point %d stats differ:\nsweep: %+v\ndirect: %+v", i, pr.EngineResult, *want)
 		}
 	}
 }

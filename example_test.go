@@ -35,11 +35,12 @@ func buildExample() *dyncomp.Architecture {
 // The full workflow: simulate event-by-event, simulate via the equivalent
 // model, and verify bit-exact agreement.
 func Example() {
-	ref, err := dyncomp.RunReference(buildExample(), dyncomp.RunOptions{Record: true})
+	ctx := context.Background()
+	ref, err := dyncomp.Run(ctx, "reference", buildExample(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		panic(err)
 	}
-	eq, err := dyncomp.RunEquivalent(buildExample(), dyncomp.RunOptions{Record: true})
+	eq, err := dyncomp.Run(ctx, "equivalent", buildExample(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		panic(err)
 	}
@@ -53,7 +54,7 @@ func Example() {
 // Resource usage is observed from the computed instants without the
 // simulator (the paper's observation time).
 func Example_observation() {
-	eq, err := dyncomp.RunEquivalent(buildExample(), dyncomp.RunOptions{Record: true})
+	eq, err := dyncomp.Run(context.Background(), "equivalent", buildExample(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		panic(err)
 	}
@@ -68,7 +69,7 @@ func Example_observation() {
 // payload size) evaluated concurrently with the equivalent model. All
 // points share one structural shape, so the temporal dependency graph is
 // derived exactly once and re-bound per point; every per-point result is
-// bit-identical to what an individual RunEquivalent call would return.
+// bit-identical to what an individual Run call would return.
 func ExampleSweep() {
 	axes := []dyncomp.SweepAxis{
 		{Name: "period", Values: []int64{800, 1000, 1200}},
@@ -111,7 +112,7 @@ func ExampleSweep() {
 // payload size shifts once mid-stream, so the engine switches to the
 // abstract mode twice and falls back in between — with a bit-exact
 // trace and most kernel events saved.
-func ExampleRunAdaptive() {
+func ExampleRun_adaptive() {
 	build := func() *dyncomp.Architecture {
 		a := dyncomp.NewArchitecture("phased")
 		in := a.AddChannel("in", dyncomp.Rendezvous, 0)
@@ -130,11 +131,12 @@ func ExampleRunAdaptive() {
 		a.AddSink("display", out)
 		return a
 	}
-	ref, err := dyncomp.RunReference(build(), dyncomp.RunOptions{Record: true})
+	ctx := context.Background()
+	ref, err := dyncomp.Run(ctx, "reference", build(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		panic(err)
 	}
-	ad, err := dyncomp.RunAdaptive(build(), dyncomp.AdaptiveOptions{Record: true})
+	ad, err := dyncomp.Run(ctx, "adaptive", build(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		panic(err)
 	}
@@ -149,12 +151,14 @@ func ExampleRunAdaptive() {
 
 // Partial abstraction: only the decode stage is replaced by an equivalent
 // model; the render stage stays event-driven.
-func ExampleRunHybrid() {
-	ref, err := dyncomp.RunReference(buildExample(), dyncomp.RunOptions{Record: true})
+func ExampleRun_hybrid() {
+	ctx := context.Background()
+	ref, err := dyncomp.Run(ctx, "reference", buildExample(), dyncomp.EngineOptions{Record: true})
 	if err != nil {
 		panic(err)
 	}
-	hyb, err := dyncomp.RunHybrid(buildExample(), []string{"decode"}, dyncomp.RunOptions{Record: true})
+	hyb, err := dyncomp.Run(ctx, "hybrid", buildExample(), dyncomp.EngineOptions{
+		AbstractGroup: []string{"decode"}, Record: true})
 	if err != nil {
 		panic(err)
 	}
@@ -164,9 +168,8 @@ func ExampleRunHybrid() {
 }
 
 // Engines are addressed by registered name through one uniform entry
-// point; this is the replacement for the deprecated per-engine wrappers
-// (RunReference, RunEquivalent, RunHybrid) and works for every engine
-// the registry knows, present or future.
+// point, which works for every engine the registry knows, present or
+// future.
 func ExampleRun() {
 	ctx := context.Background()
 	ref, err := dyncomp.Run(ctx, "reference", buildExample(), dyncomp.EngineOptions{Record: true})

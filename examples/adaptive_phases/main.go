@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -21,19 +22,24 @@ func main() {
 		return zoo.Phased(zoo.PhasedSpec{Tokens: 2000, Period: 1100, Seed: 7})
 	}
 
-	ref, err := dyncomp.RunReference(build(), dyncomp.RunOptions{Record: true})
+	ctx := context.Background()
+	ref, err := dyncomp.Run(ctx, "reference", build(), dyncomp.EngineOptions{Record: true})
 	check(err)
-	ad, err := dyncomp.RunAdaptive(build(), dyncomp.AdaptiveOptions{Record: true})
+	ad, err := dyncomp.Run(ctx, "adaptive", build(), dyncomp.EngineOptions{Record: true})
 	check(err)
 
 	fmt.Printf("bit-exact vs reference: %t\n", dyncomp.CompareTraces(ref.Trace, ad.Trace) == nil)
 	fmt.Printf("kernel events: reference %d, adaptive %d (%.1f%% saved)\n",
 		ref.Events, ad.Events, 100*(1-float64(ad.Events)/float64(ref.Events)))
+	iters := map[string]int{}
+	for _, ph := range ad.Phases() {
+		iters[ph.Mode] += ph.EndK - ph.StartK
+	}
 	fmt.Printf("switches: %d, fallbacks: %d; iterations: %d detailed / %d abstract\n\n",
-		ad.Switches, ad.Fallbacks, ad.DetailedIterations, ad.AbstractIterations)
+		ad.Switches, ad.Fallbacks, iters["detailed"], iters["abstract"])
 
 	fmt.Printf("%-10s %10s %10s %12s\n", "mode", "from k", "to k", "events")
-	for _, ph := range ad.Phases {
+	for _, ph := range ad.Phases() {
 		fmt.Printf("%-10s %10d %10d %12d\n", ph.Mode, ph.StartK, ph.EndK, ph.Events)
 	}
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,12 +44,13 @@ func main() {
 		return a
 	}
 
+	ctx := context.Background()
 	for _, capacity := range []int{1, 4, 16} {
-		ref, err := dyncomp.RunReference(build(capacity), dyncomp.RunOptions{Record: true})
+		ref, err := dyncomp.Run(ctx, "reference", build(capacity), dyncomp.EngineOptions{Record: true})
 		if err != nil {
 			log.Fatal(err)
 		}
-		eq, err := dyncomp.RunEquivalent(build(capacity), dyncomp.RunOptions{Record: true})
+		eq, err := dyncomp.Run(ctx, "equivalent", build(capacity), dyncomp.EngineOptions{Record: true})
 		if err != nil {
 			log.Fatal(err)
 		}

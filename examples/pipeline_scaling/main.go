@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -18,19 +19,20 @@ import (
 
 func main() {
 	const tokens = 5000
+	ctx := context.Background()
 	fmt.Printf("%-8s %-8s %-12s %-12s %-10s\n", "stages", "nodes", "event ratio", "speed-up", "baseline")
 	for stages := 1; stages <= 4; stages++ {
 		spec := zoo.DidacticSpec{Tokens: tokens, Period: 1200, Seed: 41}
 
 		start := time.Now()
-		ref, err := dyncomp.RunReference(zoo.DidacticChain(stages, spec), dyncomp.RunOptions{})
+		ref, err := dyncomp.Run(ctx, "reference", zoo.DidacticChain(stages, spec), dyncomp.EngineOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		refWall := time.Since(start)
 
 		start = time.Now()
-		eq, err := dyncomp.RunEquivalent(zoo.DidacticChain(stages, spec), dyncomp.RunOptions{})
+		eq, err := dyncomp.Run(ctx, "equivalent", zoo.DidacticChain(stages, spec), dyncomp.EngineOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -178,7 +178,7 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := iterations(a)
+	n, err := a.Iterations()
 	if err != nil {
 		return nil, err
 	}
@@ -286,22 +286,6 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	}
 	res.Iterations = k
 	return res, nil
-}
-
-// iterations resolves the iteration count from the sources, which must
-// agree on one token count (single-rate evolution).
-func iterations(a *model.Architecture) (int, error) {
-	if len(a.Sources) == 0 {
-		return 0, fmt.Errorf("adaptive: architecture %q has no sources", a.Name)
-	}
-	n := a.Sources[0].Count
-	for _, s := range a.Sources[1:] {
-		if s.Count != n {
-			return 0, fmt.Errorf("adaptive: sources %q and %q produce different token counts (%d vs %d)",
-				a.Sources[0].Name, s.Name, n, s.Count)
-		}
-	}
-	return n, nil
 }
 
 // runner is the state of one adaptive run.
@@ -502,7 +486,10 @@ func (r *runner) runAbstract(k0 int) (int, error) {
 			return k, err
 		}
 		ev.ValuesInto(vals)
-		iterEnd := r.record(dres, vals, k)
+		iterEnd := sim.Time(0)
+		if end := dres.Record(r.rec, vals, k); end != maxplus.Epsilon {
+			iterEnd = sim.Time(end)
+		}
 		if iterEnd > r.endTime {
 			r.endTime = iterEnd
 		}
@@ -513,42 +500,4 @@ func (r *runner) runAbstract(k0 int) (int, error) {
 		}
 	}
 	return k, nil
-}
-
-// record reconstructs the observable evolution of iteration k from the
-// computed instants — every labelled instant and every execution
-// activity — exactly as the equivalent model does, and returns the
-// latest instant of the iteration.
-func (r *runner) record(dres *derive.Result, vals []maxplus.T, k int) sim.Time {
-	end := maxplus.Epsilon
-	for _, nd := range dres.Graph.Nodes() {
-		label, ok := dres.Labels[nd.ID]
-		if !ok {
-			continue
-		}
-		v := vals[nd.ID]
-		r.rec.RecordInstant(label, v)
-		end = maxplus.Oplus(end, v)
-	}
-	for _, pr := range dres.Probes {
-		start := pr.Start(vals[pr.Base], k)
-		if start == maxplus.Epsilon {
-			continue
-		}
-		load := pr.Exec.Load(k)
-		fin := maxplus.Otimes(start, pr.Exec.Resource.DurationOf(load))
-		r.rec.RecordActivity(observe.Activity{
-			Resource: pr.Exec.Resource.Name,
-			Label:    pr.Exec.Label,
-			K:        k,
-			Start:    start,
-			End:      fin,
-			Ops:      load.Ops,
-		})
-		end = maxplus.Oplus(end, fin)
-	}
-	if end == maxplus.Epsilon {
-		return 0
-	}
-	return sim.Time(end)
 }

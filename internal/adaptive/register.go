@@ -41,6 +41,17 @@ func (adEngine) Run(ctx context.Context, a *model.Architecture, opts engine.Opti
 	if err != nil {
 		return nil, err
 	}
+	phases := make([]engine.Phase, len(res.Phases))
+	for i, ph := range res.Phases {
+		phases[i] = engine.Phase{
+			Mode:        ph.Mode.String(),
+			StartK:      ph.StartK,
+			EndK:        ph.EndK,
+			Events:      ph.Events,
+			Activations: ph.Activations,
+			WallNs:      ph.Wall.Nanoseconds(),
+		}
+	}
 	return &engine.Result{
 		Trace:       trace,
 		Activations: res.Stats.Activations,
@@ -51,6 +62,7 @@ func (adEngine) Run(ctx context.Context, a *model.Architecture, opts engine.Opti
 		GraphNodes:  res.GraphNodes,
 		Switches:    res.Switches,
 		Fallbacks:   res.Fallbacks,
+		Phases:      phases,
 	}, nil
 }
 

@@ -52,7 +52,7 @@ func RunBatch(lanes []*derive.Result, opts BatchOptions) ([]*Result, []error, er
 			return nil, nil, fmt.Errorf("core: batch lane %d has no derivation", l)
 		}
 		progs[l] = res.Program()
-		iter, err := iterations(res)
+		iter, err := res.Arch.Iterations()
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: batch lane %d: %w", l, err)
 		}

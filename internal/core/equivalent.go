@@ -82,29 +82,10 @@ type Model struct {
 // evolution), and every output must drain into an environment sink (the
 // abstraction boundary of the paper's experiments).
 func New(res *derive.Result) (*Model, error) {
-	m := &Model{res: res}
-	if _, err := m.iterations(); err != nil {
+	if _, err := res.Arch.Iterations(); err != nil {
 		return nil, err
 	}
-	return m, nil
-}
-
-// iterations resolves the number of iterations to simulate from the
-// architecture's sources, which must agree on one token count.
-func (m *Model) iterations() (int, error) { return iterations(m.res) }
-
-func iterations(res *derive.Result) (int, error) {
-	if len(res.Inputs) == 0 {
-		return 0, fmt.Errorf("core: architecture %q has no inputs", res.Arch.Name)
-	}
-	count := res.Inputs[0].Source.Count
-	for _, ib := range res.Inputs[1:] {
-		if ib.Source.Count != count {
-			return 0, fmt.Errorf("core: sources %q and %q produce different token counts (%d vs %d)",
-				res.Inputs[0].Source.Name, ib.Source.Name, count, ib.Source.Count)
-		}
-	}
-	return count, nil
+	return &Model{res: res}, nil
 }
 
 // Run simulates the equivalent model.
@@ -113,7 +94,7 @@ func (m *Model) Run(opts Options) (*Result, error) {
 	if limit <= 0 {
 		limit = sim.Forever
 	}
-	iter, err := m.iterations()
+	iter, err := m.res.Arch.Iterations()
 	if err != nil {
 		return nil, err
 	}
@@ -368,38 +349,11 @@ func (e *engine) deliver(k, idx int, arrival maxplus.T) {
 		e.outputs[j] = append(e.outputs[j], y[j])
 	}
 	if e.trace != nil {
-		e.record(k)
+		// Reconstruct the observable evolution of iteration k from the
+		// computed instants, without the simulator.
+		e.eval.ValuesInto(e.vals)
+		e.res.Record(e.trace, e.vals, k)
 	}
 	e.stepped.Notify()
 	e.emitted.Notify()
-}
-
-// record reconstructs the observable evolution of iteration k from the
-// computed instants: every labelled instant and every execution activity,
-// on the local observation time (no simulator involvement).
-func (e *engine) record(k int) {
-	e.eval.ValuesInto(e.vals)
-	g := e.res.Graph
-	for _, n := range g.Nodes() {
-		label, ok := e.res.Labels[n.ID]
-		if !ok {
-			continue
-		}
-		e.trace.RecordInstant(label, e.vals[n.ID])
-	}
-	for _, pr := range e.res.Probes {
-		start := pr.Start(e.vals[pr.Base], k)
-		if start == maxplus.Epsilon {
-			continue
-		}
-		load := pr.Exec.Load(k)
-		e.trace.RecordActivity(observe.Activity{
-			Resource: pr.Exec.Resource.Name,
-			Label:    pr.Exec.Label,
-			K:        k,
-			Start:    start,
-			End:      maxplus.Otimes(start, pr.Exec.Resource.DurationOf(load)),
-			Ops:      load.Ops,
-		})
-	}
 }

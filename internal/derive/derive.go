@@ -33,6 +33,7 @@ import (
 
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
+	"dyncomp/internal/observe"
 	"dyncomp/internal/tdg"
 )
 
@@ -64,6 +65,42 @@ func (p Probe) Start(base maxplus.T, k int) maxplus.T {
 		base = maxplus.Otimes(base, e.Duration(k))
 	}
 	return base
+}
+
+// Record reconstructs the observable evolution of iteration k from the
+// computed instants vals (indexed by node ID) on the local observation
+// time, without the simulator: every labelled instant, then every
+// execution activity. It returns the iteration's latest recorded instant
+// (Epsilon when it recorded nothing).
+func (res *Result) Record(tr *observe.Trace, vals []maxplus.T, k int) maxplus.T {
+	end := maxplus.Epsilon
+	for _, n := range res.Graph.Nodes() {
+		label, ok := res.Labels[n.ID]
+		if !ok {
+			continue
+		}
+		v := vals[n.ID]
+		tr.RecordInstant(label, v)
+		end = maxplus.Oplus(end, v)
+	}
+	for _, pr := range res.Probes {
+		start := pr.Start(vals[pr.Base], k)
+		if start == maxplus.Epsilon {
+			continue
+		}
+		load := pr.Exec.Load(k)
+		fin := maxplus.Otimes(start, pr.Exec.Resource.DurationOf(load))
+		tr.RecordActivity(observe.Activity{
+			Resource: pr.Exec.Resource.Name,
+			Label:    pr.Exec.Label,
+			K:        k,
+			Start:    start,
+			End:      fin,
+			Ops:      load.Ops,
+		})
+		end = maxplus.Oplus(end, fin)
+	}
+	return end
 }
 
 // InputBinding connects one source-fed channel to the graph.

@@ -102,6 +102,19 @@ type Result struct {
 	// forced abstract→detailed transitions (adaptive engine only).
 	Switches  int
 	Fallbacks int
+	// Phases lists the mode spans in execution order (adaptive engine
+	// only); they tile [0, Iterations).
+	Phases []Phase
+}
+
+// Phase is one maximal span of iterations an engine executed in a
+// single mode ("detailed" or "abstract").
+type Phase struct {
+	Mode         string
+	StartK, EndK int   // iteration span [StartK, EndK)
+	Events       int64 // kernel event-queue operations paid (0 when abstract)
+	Activations  int64 // kernel context switches paid (0 when abstract)
+	WallNs       int64 // host time spent in the span
 }
 
 // Engine is one executor of architecture models. Implementations must be

@@ -47,7 +47,6 @@ type engine struct {
 	confirmed int
 	progress  *sim.Event
 
-	vals      []maxplus.T
 	skipLabel map[string]bool
 }
 
@@ -79,7 +78,6 @@ func newEngine(a *model.Architecture, sub *subArch, dres *derive.Result, kern *s
 	}
 	e.outDist = outDistances(g, e.outNode)
 	if trace != nil {
-		e.vals = make([]maxplus.T, g.NodeCount())
 		e.skipLabel = boundaryLabels(sub)
 	}
 	return e

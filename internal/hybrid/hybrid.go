@@ -77,7 +77,7 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	iters, err := iterationCount(a)
+	iters, err := a.Iterations()
 	if err != nil {
 		return nil, err
 	}
@@ -178,19 +178,6 @@ func resolveGroup(a *model.Architecture, names []string) (map[*model.Function]bo
 		}
 	}
 	return group, nil
-}
-
-func iterationCount(a *model.Architecture) (int, error) {
-	if len(a.Sources) == 0 {
-		return 0, fmt.Errorf("hybrid: architecture has no sources")
-	}
-	n := a.Sources[0].Count
-	for _, s := range a.Sources[1:] {
-		if s.Count != n {
-			return 0, fmt.Errorf("hybrid: sources produce different token counts (%d vs %d)", n, s.Count)
-		}
-	}
-	return n, nil
 }
 
 // checkBoundary enforces the supported abstraction boundary: exactly one

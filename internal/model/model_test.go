@@ -250,6 +250,25 @@ func TestValidateRejectsBadResource(t *testing.T) {
 	}
 }
 
+// Iterations is the one single-rate rule every engine applies: all
+// sources agree on one token count, and there is at least one source.
+func TestIterations(t *testing.T) {
+	a := NewArchitecture("rates")
+	if _, err := a.Iterations(); err == nil || !strings.Contains(err.Error(), "no sources") {
+		t.Fatalf("no sources: err = %v", err)
+	}
+	tok := func(int) Token { return Token{} }
+	a.AddSource("S1", a.AddChannel("I1", Rendezvous, 0), Eager(), tok, 5)
+	a.AddSource("S2", a.AddChannel("I2", Rendezvous, 0), Eager(), tok, 5)
+	if n, err := a.Iterations(); err != nil || n != 5 {
+		t.Fatalf("Iterations() = %d, %v; want 5", n, err)
+	}
+	a.AddSource("S3", a.AddChannel("I3", Rendezvous, 0), Eager(), tok, 7)
+	if _, err := a.Iterations(); err == nil || !strings.Contains(err.Error(), "different token counts") {
+		t.Fatalf("mismatched counts: err = %v", err)
+	}
+}
+
 func TestValidateRejectsNonPositiveSourceCount(t *testing.T) {
 	a := NewArchitecture("bad")
 	in := a.AddChannel("I", Rendezvous, 0)

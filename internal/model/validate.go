@@ -165,6 +165,22 @@ func (a *Architecture) TokenOf(ch *Channel, k int) Token {
 	return tok
 }
 
+// Iterations resolves the number of evolution iterations from the
+// sources, which must agree on one token count (single-rate evolution).
+func (a *Architecture) Iterations() (int, error) {
+	if len(a.Sources) == 0 {
+		return 0, fmt.Errorf("model: architecture %q has no sources", a.Name)
+	}
+	n := a.Sources[0].Count
+	for _, s := range a.Sources[1:] {
+		if s.Count != n {
+			return 0, fmt.Errorf("model: sources %q and %q produce different token counts (%d vs %d)",
+				a.Sources[0].Name, s.Name, n, s.Count)
+		}
+	}
+	return n, nil
+}
+
 // provenanceOf returns the channel whose token the writer of ch forwards:
 // the channel of the last Read preceding the Write of ch in the writer's
 // body.

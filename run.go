@@ -108,7 +108,27 @@ type EngineResult struct {
 	// Switches and Fallbacks report the adaptive engine's mode changes.
 	Switches  int `json:"switches,omitempty"`
 	Fallbacks int `json:"fallbacks,omitempty"`
+
+	// phases backs Phases. It is a pointer, not a slice, so that
+	// EngineResult stays comparable with ==.
+	phases *[]AdaptivePhase
 }
+
+// Phases lists the adaptive engine's mode spans in execution order;
+// they tile [0, Iterations). The other engines, and sweep points,
+// report none.
+func (r *EngineResult) Phases() []AdaptivePhase {
+	if r.phases == nil {
+		return nil
+	}
+	return *r.phases
+}
+
+// AdaptivePhase is one maximal span of iterations the adaptive engine
+// executed in a single mode ("detailed" or "abstract"): the iteration
+// span [StartK, EndK), the kernel work paid in it (zero when abstract)
+// and its host time.
+type AdaptivePhase = engine.Phase
 
 // Engines lists the registered execution engines, sorted by name —
 // "adaptive", "equivalent", "hybrid", "reference" plus any future ones.
@@ -117,8 +137,8 @@ type EngineResult struct {
 func Engines() []string { return engine.Names() }
 
 // Run simulates the architecture with the named engine (any name from
-// Engines). It is the uniform entry point behind which the four
-// executors are interchangeable:
+// Engines). It is the one entry point for a single simulation, behind
+// which the four executors are interchangeable:
 //
 //	ref, _ := dyncomp.Run(ctx, "reference", a, dyncomp.EngineOptions{Record: true})
 //	eq,  _ := dyncomp.Run(ctx, "equivalent", a, dyncomp.EngineOptions{Record: true})
@@ -151,7 +171,7 @@ func Run(ctx context.Context, engineName string, a *Architecture, opts EngineOpt
 	if err != nil {
 		return nil, err
 	}
-	return &EngineResult{
+	out := &EngineResult{
 		Trace:       r.Trace,
 		Activations: r.Activations,
 		Events:      r.Events,
@@ -161,5 +181,9 @@ func Run(ctx context.Context, engineName string, a *Architecture, opts EngineOpt
 		GraphNodes:  r.GraphNodes,
 		Switches:    r.Switches,
 		Fallbacks:   r.Fallbacks,
-	}, nil
+	}
+	if r.Phases != nil {
+		out.phases = &r.Phases
+	}
+	return out, nil
 }

@@ -21,39 +21,8 @@ func TestEnginesListsFourExecutors(t *testing.T) {
 	}
 }
 
-// Run with an engine name and the legacy wrappers are the same code
-// path; their results must be identical field for field.
-func TestRunMatchesLegacyWrappers(t *testing.T) {
-	ctx := context.Background()
-	ref, err := RunReference(buildSmoke(200), RunOptions{Record: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"equivalent", "adaptive"} {
-		r, err := Run(ctx, name, buildSmoke(200), EngineOptions{Record: true})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := CompareTraces(ref.Trace, r.Trace); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	eqOld, err := RunEquivalent(buildSmoke(200), RunOptions{Record: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eqNew, err := Run(ctx, "equivalent", buildSmoke(200), EngineOptions{Record: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eqOld.Activations != eqNew.Activations || eqOld.Events != eqNew.Events ||
-		eqOld.FinalTimeNs != eqNew.FinalTimeNs || eqOld.GraphNodes != eqNew.GraphNodes {
-		t.Fatalf("wrapper and Run disagree:\n%+v\n%+v", eqOld, eqNew)
-	}
-}
-
 func TestRunHybridViaRegistry(t *testing.T) {
-	ref, err := RunReference(buildSmoke(150), RunOptions{Record: true})
+	ref, err := Run(context.Background(), "reference", buildSmoke(150), EngineOptions{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}

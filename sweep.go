@@ -3,7 +3,6 @@ package dyncomp
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"dyncomp/internal/derive"
 	"dyncomp/internal/sim"
@@ -51,38 +50,6 @@ type SweepGenerator = func(SweepPoint) (*Architecture, error)
 // min/max/mean/geomean of the per-point speed-ups and event ratios.
 type SweepStats = sweep.Stats
 
-// SweepEngine selects the executor evaluating every sweep point.
-//
-// Deprecated: engines are addressed by their registered name; use
-// SweepOptions.EngineName (see Engines for the available names). The
-// enum remains for compatibility and covers only the original three.
-type SweepEngine int
-
-// Sweep engines.
-const (
-	// SweepEquivalent evaluates each point with the equivalent model
-	// (the default).
-	SweepEquivalent SweepEngine = iota
-	// SweepReference evaluates each point with the event-driven
-	// reference executor.
-	SweepReference
-	// SweepAdaptive evaluates each point with the adaptive engine,
-	// sharing the sweep's derivation cache across points.
-	SweepAdaptive
-)
-
-// name maps the legacy enum onto the engine registry's names.
-func (e SweepEngine) name() string {
-	switch e {
-	case SweepReference:
-		return "reference"
-	case SweepAdaptive:
-		return "adaptive"
-	default:
-		return "equivalent"
-	}
-}
-
 // SweepOptions configures a design-space sweep.
 type SweepOptions struct {
 	// Workers is the worker-pool size; 0 uses all processors. Per-point
@@ -91,12 +58,8 @@ type SweepOptions struct {
 	Workers int
 	// EngineName names the registered executor evaluating every point —
 	// any name from Engines(), e.g. "hybrid" (with Group set). Empty
-	// falls back to the deprecated Engine enum.
+	// selects "equivalent".
 	EngineName string
-	// Engine selects the per-point executor (default SweepEquivalent).
-	//
-	// Deprecated: use EngineName.
-	Engine SweepEngine
 	// Group names the functions the hybrid engine abstracts on every
 	// point; ignored by the other engines.
 	Group []string
@@ -145,27 +108,21 @@ type SweepOptions struct {
 	BatchWidth int
 }
 
-// SweepPointResult is the evaluation of one grid point: the equivalent
-// model's RunResult (embedded) plus optional baseline pairing.
+// SweepPointResult is the evaluation of one grid point: the selected
+// engine's EngineResult (embedded) plus optional baseline pairing.
 type SweepPointResult struct {
 	Point SweepPoint
-	// RunResult is the equivalent-model run of this point, exactly as an
-	// individual RunEquivalent call would return it.
-	RunResult
-	// Wall is the host time of the equivalent-model run.
-	Wall time.Duration
+	// EngineResult is the run of this point, exactly as an individual
+	// Run call with the same engine would return it (Phases excepted:
+	// sweeps do not keep the adaptive engine's mode spans).
+	EngineResult
 	// Baseline is the reference executor's result when
 	// SweepOptions.Baseline is set.
-	Baseline     *RunResult
-	BaselineWall time.Duration
+	Baseline *EngineResult
 	// EventRatio and SpeedUp are the paper's headline ratios
-	// (baseline/equivalent), filled when Baseline is set.
+	// (baseline/engine), filled when Baseline is set.
 	EventRatio float64
 	SpeedUp    float64
-	// Switches and Fallbacks report the adaptive engine's mode changes
-	// (zero for the other engines).
-	Switches  int
-	Fallbacks int
 	// Source reports how a sampled sweep obtained this point:
 	// SweepSourceSimulated or SweepSourcePredicted. Empty in exhaustive
 	// sweeps.
@@ -186,10 +143,10 @@ type SweepResult struct {
 }
 
 // Sweep evaluates every configuration of the grid spanned by axes,
-// sharding the points across a worker pool; SweepOptions.EngineName (or
-// the deprecated Engine enum) selects the per-point executor — any
-// registered engine: equivalent model by default, reference executor,
-// hybrid with an abstracted group, or the adaptive engine. The
+// sharding the points across a worker pool; SweepOptions.EngineName
+// selects the per-point executor — any registered engine: equivalent
+// model by default, reference executor, hybrid with an abstracted
+// group, or the adaptive engine. The
 // temporal dependency graph is derived once per structural shape and
 // re-bound to every other point of that shape, so sweeping parameters
 // (token counts, periods, seeds, costs, speeds) over a fixed topology
@@ -207,13 +164,9 @@ func Sweep(axes []SweepAxis, gen SweepGenerator, opts SweepOptions) (*SweepResul
 // remaining points fail with the context's error, and SweepContext
 // returns it alongside the partial result.
 func SweepContext(ctx context.Context, axes []SweepAxis, gen SweepGenerator, opts SweepOptions) (*SweepResult, error) {
-	name := opts.EngineName
-	if name == "" {
-		name = opts.Engine.name()
-	}
 	sopts := sweep.Options{
 		Workers:    opts.Workers,
-		Engine:     name,
+		Engine:     opts.EngineName,
 		Window:     opts.WindowK,
 		Confidence: opts.Confidence,
 		Group:      opts.Group,
@@ -239,32 +192,18 @@ func SweepContext(ctx context.Context, axes []SweepAxis, gen SweepGenerator, opt
 	var firstErr error
 	for i, pr := range res.Points {
 		sp := SweepPointResult{
-			Point: pr.Point,
-			RunResult: RunResult{
-				Trace:       pr.Trace,
-				Activations: pr.Run.Activations,
-				Events:      pr.Run.Events,
-				FinalTimeNs: pr.Run.FinalTimeNs,
-				GraphNodes:  pr.Run.GraphNodes,
-			},
-			Wall:         pr.Run.Wall,
+			Point:        pr.Point,
+			EngineResult: engineResultOf(pr.Run, pr.Trace),
 			EventRatio:   pr.EventRatio,
 			SpeedUp:      pr.SpeedUp,
-			Switches:     pr.Run.Switches,
-			Fallbacks:    pr.Run.Fallbacks,
 			Source:       pr.Source,
 			PredBound:    pr.PredBound,
 			PredObserved: pr.PredObserved,
 			Err:          pr.Err,
 		}
 		if pr.Baseline != nil {
-			sp.Baseline = &RunResult{
-				Trace:       pr.BaselineTrace,
-				Activations: pr.Baseline.Activations,
-				Events:      pr.Baseline.Events,
-				FinalTimeNs: pr.Baseline.FinalTimeNs,
-			}
-			sp.BaselineWall = pr.Baseline.Wall
+			base := engineResultOf(*pr.Baseline, pr.BaselineTrace)
+			sp.Baseline = &base
 		}
 		if pr.Err != nil && firstErr == nil {
 			firstErr = pr.Err
@@ -280,4 +219,20 @@ func SweepContext(ctx context.Context, axes []SweepAxis, gen SweepGenerator, opt
 			res.Stats.Failed, res.Stats.Points, firstErr)
 	}
 	return out, nil
+}
+
+// engineResultOf lifts one sweep run's statistics into the facade's
+// result type.
+func engineResultOf(st sweep.PointStats, trace *Trace) EngineResult {
+	return EngineResult{
+		Trace:       trace,
+		Activations: st.Activations,
+		Events:      st.Events,
+		FinalTimeNs: st.FinalTimeNs,
+		WallNs:      st.Wall.Nanoseconds(),
+		Iterations:  st.Iterations,
+		GraphNodes:  st.GraphNodes,
+		Switches:    st.Switches,
+		Fallbacks:   st.Fallbacks,
+	}
 }
