@@ -2,6 +2,7 @@ package dyncomp
 
 import (
 	"dyncomp/internal/archjson"
+	"dyncomp/internal/zoo"
 )
 
 // ArchSpec is a validated architecture description in the open JSON
@@ -30,14 +31,6 @@ const (
 // architecture-format functions ("" for foreign errors).
 func ArchErrorCode(err error) string { return archjson.ErrCode(err) }
 
-// paramMap adapts a plain map to the spec builder's parameter source.
-type paramMap map[string]int64
-
-func (m paramMap) Lookup(name string) (int64, bool) {
-	v, ok := m[name]
-	return v, ok
-}
-
 // DecodeArchitecture parses and fully validates a JSON architecture
 // document. A non-nil error always carries a stable code (see
 // ArchErrorCode); a nil error guarantees the spec is schema-valid,
@@ -53,7 +46,7 @@ func BuildArchitecture(spec *ArchSpec, params map[string]int64) (*Architecture, 
 	if err := spec.CheckParams(params); err != nil {
 		return nil, err
 	}
-	return spec.Build(paramMap(params))
+	return spec.Build(zoo.ParamMap(params))
 }
 
 // ExportArchitecture converts a programmatically built architecture

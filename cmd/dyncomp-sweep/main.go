@@ -110,19 +110,9 @@ func main() {
 	}
 	scenarioSet := false
 	flag.Visit(func(f *flag.Flag) { scenarioSet = scenarioSet || f.Name == "scenario" })
-
-	var spec *archjson.Spec
-	if *archFile != "" {
-		if scenarioSet {
-			fatal(fmt.Errorf("-arch and -scenario are mutually exclusive"))
-		}
-		data, err := os.ReadFile(*archFile)
-		if err != nil {
-			fatal(err)
-		}
-		if spec, err = archjson.Decode(data); err != nil {
-			fatal(err)
-		}
+	src, spec, err := resolveModel(*scenario, *archFile, scenarioSet)
+	if err != nil {
+		fatal(err)
 	}
 	if *optimizeFlag {
 		if spec == nil {
@@ -132,10 +122,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		grp := parseGroup(*group)
-		if *engName == "hybrid" && grp == nil {
-			grp = spec.CanonicalGroup()
-		}
+		// Without -group the optimizer falls back to the spec's
+		// canonical group.
 		res, err := optimize.Run(context.Background(), spec, optimize.Options{
 			Engine:      *engName,
 			Workers:     *workers,
@@ -144,7 +132,7 @@ func main() {
 			Constraints: cons,
 			Budget:      *budget,
 			Exhaustive:  *exhaustive,
-			Group:       grp,
+			Group:       parseGroup(*group),
 		})
 		if err != nil {
 			fatal(err)
@@ -154,40 +142,9 @@ func main() {
 		}
 		return
 	}
-
-	var gen sweep.Generator
-	var axes []sweep.Axis
-	var sc zoo.Scenario
-	if spec != nil {
-		gen = func(p sweep.Point) (*model.Architecture, error) { return spec.Build(p) }
-		if strings.TrimSpace(*axesSpec) == "" {
-			// Default grid: the candidate values the spec declares.
-			axes = specAxes(spec)
-			if len(axes) == 0 {
-				fatal(fmt.Errorf("architecture %q declares no parameter values; give -axes", spec.Name))
-			}
-		} else {
-			var err error
-			if axes, err = parseAxes(*axesSpec); err != nil {
-				fatal(err)
-			}
-			axisParams := map[string]int64{}
-			for _, ax := range axes {
-				axisParams[ax.Name] = ax.Values[0]
-			}
-			if err := spec.CheckParams(axisParams); err != nil {
-				fatal(err)
-			}
-		}
-	} else {
-		var err error
-		if sc, err = zoo.LookupScenario(*scenario); err != nil {
-			fatal(err)
-		}
-		gen = func(p sweep.Point) (*model.Architecture, error) { return sc.Build(p), nil }
-		if axes, err = parseAxes(*axesSpec); err != nil {
-			fatal(err)
-		}
+	axes, err := gridAxes(src, spec, *axesSpec)
+	if err != nil {
+		fatal(err)
 	}
 
 	if *tolerance < 0 {
@@ -214,25 +171,19 @@ func main() {
 		switch {
 		case *group != "":
 			opts.Group = parseGroup(*group)
-		case spec != nil:
-			// An inline spec's structure is point-independent: one group
-			// serves every point.
-			if opts.Group = spec.CanonicalGroup(); opts.Group == nil {
-				fatal(fmt.Errorf("architecture %q has no canonical hybrid group; use -group", spec.Name))
-			}
-		case sc.HybridGroup == nil:
-			fatal(fmt.Errorf("scenario %q has no canonical hybrid group; use -group", sc.Name))
+		case src.Group == nil:
+			fatal(fmt.Errorf("%s %q has no canonical hybrid group; use -group", src.Kind, src.Name))
 		default:
 			// Per point: axes may change the structure and with it the
 			// group (e.g. sweeping the fork-join worker count).
-			opts.GroupFor = func(p sweep.Point) []string { return sc.HybridGroup(p) }
+			opts.GroupFor = func(p sweep.Point) []string { return src.Group(p) }
 		}
 	}
 	opts.Derive.Reduce = *reduce
 	if *limit > 0 {
 		opts.Limit = sim.Time(*limit)
 	}
-	res, err := sweep.Run(axes, gen, opts)
+	res, err := sweep.Run(axes, func(p sweep.Point) (*model.Architecture, error) { return src.Build(p) }, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -284,6 +235,58 @@ func printMatrix(w *os.File) {
 		fmt.Fprintf(w, "  %-10s %s\n", sc.Name, sc.Desc)
 		fmt.Fprintf(w, "  %-10s params: %s%s\n", "", sc.ParamsHelp, hybrid)
 	}
+}
+
+// resolveModel resolves the invocation's model source: the -arch spec
+// file when one is given, the -scenario otherwise, never both. The
+// decoded spec comes back too (nil for a scenario), for its declared
+// axes and the optimizer.
+func resolveModel(scenario, archFile string, scenarioSet bool) (zoo.Source, *archjson.Spec, error) {
+	if archFile == "" {
+		sc, err := zoo.LookupScenario(scenario)
+		if err != nil {
+			return zoo.Source{}, nil, err
+		}
+		return sc.Source(), nil, nil
+	}
+	if scenarioSet {
+		return zoo.Source{}, nil, fmt.Errorf("-arch and -scenario are mutually exclusive")
+	}
+	data, err := os.ReadFile(archFile)
+	if err != nil {
+		return zoo.Source{}, nil, err
+	}
+	spec, err := archjson.Decode(data)
+	if err != nil {
+		return zoo.Source{}, nil, err
+	}
+	return spec.Source(), spec, nil
+}
+
+// gridAxes parses -axes and checks the axis names against the source's
+// parameters: a typoed axis would sweep a knob no builder reads,
+// evaluating one point N times. A spec given no -axes spans the
+// candidate values it declares.
+func gridAxes(src zoo.Source, spec *archjson.Spec, axesSpec string) ([]sweep.Axis, error) {
+	if spec != nil && strings.TrimSpace(axesSpec) == "" {
+		axes := specAxes(spec)
+		if len(axes) == 0 {
+			return nil, fmt.Errorf("architecture %q declares no parameter values; give -axes", spec.Name)
+		}
+		return axes, nil
+	}
+	axes, err := parseAxes(axesSpec)
+	if err != nil {
+		return nil, err
+	}
+	names := map[string]int64{}
+	for _, ax := range axes {
+		names[ax.Name] = 0
+	}
+	if err := src.Check(names); err != nil {
+		return nil, err
+	}
+	return axes, nil
 }
 
 // parseGroup splits the -group override into function names.

@@ -5,6 +5,7 @@ import (
 
 	"dyncomp/internal/archjson"
 	"dyncomp/internal/optimize"
+	"dyncomp/internal/zoo"
 )
 
 func TestParseConstraints(t *testing.T) {
@@ -71,5 +72,25 @@ func TestSpecAxes(t *testing.T) {
 	}
 	if len(axes[0].Values) != 3 || len(axes[1].Values) != 2 {
 		t.Fatalf("axes %v: value lists not carried over", axes)
+	}
+}
+
+// A typoed axis fails for a scenario exactly as for an inline spec: it
+// would sweep a parameter no builder reads, evaluating one point N
+// times.
+func TestGridAxesRejectsUnknownParameter(t *testing.T) {
+	sc, err := zoo.LookupScenario("pipeline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gridAxes(sc.Source(), nil, "xsiz=6,10"); err == nil {
+		t.Fatal("scenario sweep accepted the typoed axis xsiz")
+	}
+	axes, err := gridAxes(sc.Source(), nil, "xsize=6,10;tokens=200")
+	if err != nil || len(axes) != 2 {
+		t.Fatalf("axes %v, err %v: want xsize and tokens", axes, err)
+	}
+	if _, _, err := resolveModel("pipeline", "soc.json", true); err == nil {
+		t.Fatal("-arch together with -scenario was accepted")
 	}
 }

@@ -8,13 +8,12 @@ import (
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
 	"dyncomp/internal/workload"
+	"dyncomp/internal/zoo"
 )
 
-// Params is a named-integer parameter binding, structurally identical
-// to zoo.Params so sweep points and zoo.ParamMap values bind directly.
-type Params interface {
-	Lookup(name string) (int64, bool)
-}
+// Params is the zoo's parameter binding, so sweep points and
+// zoo.ParamMap values bind directly.
+type Params = zoo.Params
 
 // ParamNames returns the spec's declared parameter names, sorted.
 func (s *Spec) ParamNames() []string {
@@ -81,6 +80,22 @@ func (s *Spec) CanonicalGroup() []string {
 		return append([]string(nil), s.Groups[0].Functions...)
 	}
 	return nil
+}
+
+// Source returns the spec as a model source. A spec's function set does
+// not depend on its parameters, so its canonical group is the same at
+// every binding.
+func (s *Spec) Source() zoo.Source {
+	src := zoo.Source{
+		Kind:  "architecture",
+		Name:  s.Name,
+		Check: s.CheckParams,
+		Build: s.Build,
+	}
+	if s.CanonicalGroup() != nil {
+		src.Group = func(Params) []string { return s.CanonicalGroup() }
+	}
+	return src
 }
 
 // Build resolves the spec under the parameter binding p (nil: declared

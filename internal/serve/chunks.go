@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"net/http"
 
 	"dyncomp/internal/sweep"
@@ -78,20 +76,14 @@ func (s *Server) handleChunkRun(w http.ResponseWriter, r *http.Request) {
 
 	opts := plan.Opts
 	opts.Cache = s.cache
-	res, err := sweep.RunIndicesContext(r.Context(), plan.Axes, req.Indices, plan.Gen, opts)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
-				"chunk evaluation exceeded the request deadline")
-			return
-		}
-		if errors.Is(err, context.Canceled) {
-			// The coordinator went away; there is nobody to answer.
-			return
-		}
-		// GridSelect rejected the selection (out of range, duplicate);
-		// engine resolution already passed in prepareSweep.
-		WriteError(w, http.StatusBadRequest, CodeInvalidIndices, "%v", err)
+	// Any other failure is GridSelect rejecting the selection (out of
+	// range, duplicate); engine resolution already passed in
+	// prepareSweep.
+	var res *sweep.Result
+	if !evaluate(w, "chunk evaluation", http.StatusBadRequest, CodeInvalidIndices, func() (err error) {
+		res, err = sweep.RunIndicesContext(r.Context(), plan.Axes, req.Indices, plan.Gen, opts)
+		return err
+	}) {
 		return
 	}
 	s.chunks.Inc(plan.Engine)

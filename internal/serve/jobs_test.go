@@ -328,6 +328,8 @@ func TestSweepValidation(t *testing.T) {
 		{"unknown axis param", `{"scenario":"didactic","axes":[{"name":"bogus","values":[1]}]}`, http.StatusBadRequest, CodeInvalidAxes},
 		{"duplicate axis", `{"scenario":"didactic","axes":[{"name":"tokens","values":[1]},{"name":"tokens","values":[2]}]}`, http.StatusBadRequest, CodeInvalidAxes},
 		{"grid too large", `{"scenario":"didactic","axes":[{"name":"tokens","values":[1,2,3,4]},{"name":"period","values":[1,2,3]}]}`, http.StatusBadRequest, CodeGridTooLarge},
+		{"hybrid without group", `{"engine":"hybrid","scenario":"random","axes":[{"name":"seed","values":[1,2]}]}`, http.StatusBadRequest, CodeMissingGroup},
+		{"inline hybrid without group", `{"engine":"hybrid","architecture":` + inlineSpec + `,"axes":[{"name":"period","values":[500,600]}]}`, http.StatusBadRequest, CodeMissingGroup},
 		{"unknown job", "", http.StatusNotFound, CodeJobNotFound},
 	}
 	for _, tc := range cases {

@@ -10,9 +10,7 @@ package serve
 // temporal dependency graph across its whole search.
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 
 	"dyncomp/internal/optimize"
@@ -90,7 +88,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			"an inline architecture is required")
 		return
 	}
-	eng, spec, aerr := resolveInline(req.Engine, "", req.Architecture, nil)
+	eng, src, spec, aerr := resolveSource(req.Engine, "", req.Architecture, nil)
 	if aerr != nil {
 		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
@@ -153,7 +151,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if !s.admitPoints(w, r, points) {
 		return
 	}
-	group, aerr := inlineHybridGroup(eng, spec, req.Options.Group)
+	group, aerr := hybridGroup(eng, src, req.Options.Group, nil)
 	if aerr != nil {
 		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
@@ -167,28 +165,21 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		batchWidth = s.cfg.SweepBatchWidth
 	}
 
-	res, err := optimize.Run(r.Context(), spec, optimize.Options{
-		Engine:      eng.Name(),
-		Workers:     workers,
-		BatchWidth:  batchWidth,
-		Objective:   req.Objective,
-		Constraints: cons,
-		Budget:      req.Options.Budget,
-		Exhaustive:  req.Options.Exhaustive,
-		Group:       group,
-		Cache:       s.cache,
-	})
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
-				"optimization exceeded the request deadline")
-			return
-		}
-		if errors.Is(err, context.Canceled) {
-			// The caller went away; there is nobody to answer.
-			return
-		}
-		WriteError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
+	var res *optimize.Result
+	if !evaluate(w, "optimization", http.StatusUnprocessableEntity, CodeRunFailed, func() (err error) {
+		res, err = optimize.Run(r.Context(), spec, optimize.Options{
+			Engine:      eng.Name(),
+			Workers:     workers,
+			BatchWidth:  batchWidth,
+			Objective:   req.Objective,
+			Constraints: cons,
+			Budget:      req.Options.Budget,
+			Exhaustive:  req.Options.Exhaustive,
+			Group:       group,
+			Cache:       s.cache,
+		})
+		return err
+	}) {
 		return
 	}
 	s.optimizations.Inc(eng.Name())

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"net/http"
 
+	"dyncomp/internal/archjson"
 	"dyncomp/internal/engine"
-	"dyncomp/internal/model"
 	"dyncomp/internal/zoo"
 )
 
@@ -28,104 +28,31 @@ func requestErrorf(status int, code, format string, args ...any) *RequestError {
 	return &RequestError{Status: status, Code: code, Msg: fmt.Sprintf(format, args...)}
 }
 
-// resolve validates the engine name, scenario name and parameters shared
-// by /v1/run and /v1/sweeps, returning the resolved registry entries.
-func resolve(engineName, scenarioName string, params map[string]int64) (engine.Engine, zoo.Scenario, zoo.ParamMap, *RequestError) {
-	if engineName == "" {
-		engineName = "equivalent"
-	}
-	eng, err := engine.Lookup(engineName)
-	if err != nil {
-		return nil, zoo.Scenario{}, nil, requestErrorf(http.StatusBadRequest, CodeUnknownEngine, "%v", err)
-	}
-	sc, err := zoo.LookupScenario(scenarioName)
-	if err != nil {
-		return nil, zoo.Scenario{}, nil, requestErrorf(http.StatusBadRequest, CodeUnknownScenario, "%v", err)
-	}
-	pm := zoo.ParamMap(params)
-	if err := sc.CheckParams(pm); err != nil {
-		return nil, zoo.Scenario{}, nil, requestErrorf(http.StatusBadRequest, CodeUnknownParam, "%v", err)
-	}
-	return eng, sc, pm, nil
-}
-
-// hybridGroup resolves the abstraction group for the hybrid engine: the
-// request's explicit group wins, then the scenario's canonical group;
-// scenarios without one (e.g. randomized structures) require the
-// explicit group.
-func hybridGroup(eng engine.Engine, sc zoo.Scenario, requested []string, p zoo.Params) ([]string, *RequestError) {
-	if eng.Name() != "hybrid" {
-		return requested, nil
-	}
-	if len(requested) > 0 {
-		return requested, nil
-	}
-	if sc.HybridGroup == nil {
-		return nil, requestErrorf(http.StatusBadRequest, CodeMissingGroup,
-			"scenario %q has no canonical hybrid group; set options.group", sc.Name)
-	}
-	return sc.HybridGroup(p), nil
-}
-
-// buildArchitecture runs a scenario builder, converting its panics —
-// the model layer uses them for invalid configurations — into errors so
-// one bad request cannot kill the process.
-func buildArchitecture(sc zoo.Scenario, p zoo.Params) (a *model.Architecture, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			a, err = nil, fmt.Errorf("scenario %q: %v", sc.Name, r)
-		}
+// evaluate runs one evaluation on the caller's request context,
+// confining a panic to an error, and answers a failure: a passed
+// deadline answers 504 deadline_exceeded, a cancelled context (the
+// caller went away) gets no answer, and any other error answers status
+// and code. It reports whether fn succeeded.
+func evaluate(w http.ResponseWriter, what string, status int, code string, fn func() error) bool {
+	err := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("%s: panic: %v", what, r)
+			}
+		}()
+		return fn()
 	}()
-	a = sc.Build(p)
-	if a == nil {
-		return nil, fmt.Errorf("scenario %q built no architecture", sc.Name)
+	switch {
+	case err == nil:
+		return true
+	case errors.Is(err, context.DeadlineExceeded):
+		WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded, "%s exceeded the request deadline", what)
+	case errors.Is(err, context.Canceled):
+		// The caller went away; there is nobody to answer.
+	default:
+		WriteError(w, status, code, "%v", err)
 	}
-	return a, nil
-}
-
-// runEngine executes one engine run with panic confinement, mirroring
-// what the sweep worker pool does per point.
-func runEngine(ctx context.Context, eng engine.Engine, a *model.Architecture, opts engine.Options) (res *engine.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("engine %q: panic: %v", eng.Name(), r)
-		}
-	}()
-	return eng.Run(ctx, a, opts)
-}
-
-// runTarget is a /v1/run request resolved to what to evaluate: the
-// engine, its abstraction group and the built architecture, plus the
-// response naming the model source (scenario or inline architecture).
-type runTarget struct {
-	eng   engine.Engine
-	group []string
-	arch  *model.Architecture
-	resp  RunResponse
-}
-
-// resolveRun resolves a /v1/run request: an inline architecture
-// through resolveRunInline, anything else against the scenario
-// registry. A scenario builder that fails answers 422 run_failed: the
-// request was well-formed, the model it selects could not be built.
-func resolveRun(req RunRequest) (*runTarget, *RequestError) {
-	if hasArchitecture(req.Architecture) {
-		return resolveRunInline(req)
-	}
-	eng, sc, pm, aerr := resolve(req.Engine, req.Scenario, req.Params)
-	if aerr != nil {
-		return nil, aerr
-	}
-	group, aerr := hybridGroup(eng, sc, req.Options.Group, pm)
-	if aerr != nil {
-		return nil, aerr
-	}
-	a, err := buildArchitecture(sc, pm)
-	if err != nil {
-		return nil, requestErrorf(http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
-	}
-	return &runTarget{eng: eng, group: group, arch: a,
-		resp: RunResponse{Engine: eng.Name(), Scenario: sc.Name}}, nil
+	return false
 }
 
 // handleRun serves POST /v1/run: decode, resolve the model source (a
@@ -139,35 +66,53 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
 		return
 	}
-	t, aerr := resolveRun(req)
+	pm := zoo.ParamMap(req.Params)
+	eng, src, spec, aerr := resolveSource(req.Engine, req.Scenario, req.Architecture, req.Params)
 	if aerr != nil {
 		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+		return
+	}
+	group, aerr := hybridGroup(eng, src, req.Options.Group, pm)
+	if aerr != nil {
+		WriteError(w, aerr.Status, aerr.Code, "%s", aerr.Msg)
+		return
+	}
+	a, err := src.Build(pm)
+	if err != nil {
+		// A spec that fails to build is the request's fault: its binding
+		// resolved to values the structural check cannot see (e.g. a
+		// speed of zero). A scenario that fails to build is a
+		// well-formed request whose model could not be built.
+		if archjson.ErrCode(err) != "" {
+			WriteError(w, http.StatusBadRequest, CodeInvalidArchitecture, "%v", err)
+		} else {
+			WriteError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
+		}
 		return
 	}
 	if !s.admitPoints(w, r, 1) {
 		return
 	}
 
-	opts := req.Options.engineOptions(t.group)
+	opts := req.Options.engineOptions(group)
 	opts.Cache = s.cache
-	res, err := runEngine(r.Context(), t.eng, t.arch, opts)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
-				"run exceeded the request deadline")
-			return
-		}
-		if errors.Is(err, context.Canceled) {
-			// The caller went away; there is nobody to answer.
-			return
-		}
-		WriteError(w, http.StatusUnprocessableEntity, CodeRunFailed, "%v", err)
+	var res *engine.Result
+	if !evaluate(w, "run", http.StatusUnprocessableEntity, CodeRunFailed, func() (err error) {
+		res, err = eng.Run(r.Context(), a, opts)
+		return err
+	}) {
 		return
 	}
-	s.runs.Inc(t.eng.Name())
+	s.runs.Inc(eng.Name())
 	hits, misses := s.cache.Stats()
-	resp := t.resp
-	resp.Result = resultJSON(res)
-	resp.Cache = CacheStats{Shapes: s.cache.Shapes(), Hits: hits, Misses: misses}
+	resp := RunResponse{
+		Engine:   eng.Name(),
+		Scenario: req.Scenario,
+		Result:   resultJSON(res),
+		Cache:    CacheStats{Shapes: s.cache.Shapes(), Hits: hits, Misses: misses},
+	}
+	if spec != nil {
+		resp.Architecture = spec.Name
+	}
 	WriteJSON(w, http.StatusOK, resp)
 }

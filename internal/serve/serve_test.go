@@ -222,6 +222,7 @@ func TestRunValidation(t *testing.T) {
 		{"unknown scenario", `{"scenario":"warp"}`, http.StatusBadRequest, CodeUnknownScenario},
 		{"unknown param", `{"scenario":"didactic","params":{"bogus":1}}`, http.StatusBadRequest, CodeUnknownParam},
 		{"hybrid without group", `{"engine":"hybrid","scenario":"random"}`, http.StatusBadRequest, CodeMissingGroup},
+		{"scenario build failure", `{"scenario":"didactic","params":{"stages":0}}`, http.StatusUnprocessableEntity, CodeRunFailed},
 		{"oversized body", `{"scenario":"didactic","params":{"tokens":` +
 			strings.Repeat(" ", maxBodyBytes) + `1}}`, http.StatusRequestEntityTooLarge, CodeBodyTooLarge},
 	}

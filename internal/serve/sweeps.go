@@ -56,49 +56,6 @@ type SweepDefaults struct {
 	MaxGridPoints int
 }
 
-// compileSweepOptions validates and maps the wire sweep options every
-// model source (scenario or inline architecture) shares: batch width,
-// sampling knobs, worker count, engine options. Group resolution stays
-// with the caller — it differs between the two sources.
-func compileSweepOptions(o SweepOptions, d SweepDefaults, engineName string) (sweep.Options, *RequestError) {
-	if o.BatchWidth < 0 {
-		return sweep.Options{}, requestErrorf(http.StatusBadRequest, CodeBadJSON,
-			"options.batch_width must be non-negative, got %d", o.BatchWidth)
-	}
-	if o.SampleTolerance < 0 {
-		return sweep.Options{}, requestErrorf(http.StatusBadRequest, CodeInvalidSample,
-			"options.sample_tolerance must be non-negative, got %g", o.SampleTolerance)
-	}
-	if o.SampleBudget < 0 {
-		return sweep.Options{}, requestErrorf(http.StatusBadRequest, CodeInvalidSample,
-			"options.sample_budget must be non-negative, got %d", o.SampleBudget)
-	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = d.Workers
-	}
-	batchWidth := o.BatchWidth
-	if batchWidth == 0 {
-		batchWidth = d.BatchWidth
-	}
-	opts := sweep.Options{
-		Workers:    workers,
-		Engine:     engineName,
-		Window:     o.WindowK,
-		Confidence: o.Confidence,
-		Baseline:   o.Baseline,
-		Limit:      sim.Time(o.LimitNs),
-		BatchWidth: batchWidth,
-		Sample: sweep.SampleOptions{
-			Tolerance: o.SampleTolerance,
-			Budget:    o.SampleBudget,
-			Verify:    o.SampleVerify,
-		},
-	}
-	opts.Derive.Reduce = o.Reduce
-	return opts, nil
-}
-
 // CompileSweep validates everything about a sweep request that can fail
 // fast — registry names (or the inline architecture spec), parameters,
 // axes, grid size, group, batch width — and compiles it into a
@@ -114,44 +71,72 @@ func CompileSweep(req SweepRequest, d SweepDefaults) (*SweepPlan, *RequestError)
 	if d.MaxGridPoints <= 0 {
 		d.MaxGridPoints = 100000
 	}
-	if hasArchitecture(req.Architecture) {
-		return compileSweepInline(req, d)
-	}
-	eng, sc, fixed, aerr := resolve(req.Engine, req.Scenario, req.Params)
+	eng, src, _, aerr := resolveSource(req.Engine, req.Scenario, req.Architecture, req.Params)
 	if aerr != nil {
 		return nil, aerr
 	}
-	axes, points, aerr := compileAxes(req.Axes, func(p map[string]int64) error {
-		return sc.CheckParams(p)
-	}, d.MaxGridPoints)
+	axes, points, aerr := compileAxes(req.Axes, src.Check, d.MaxGridPoints)
 	if aerr != nil {
 		return nil, aerr
 	}
-	if _, aerr := hybridGroup(eng, sc, req.Options.Group, fixed); aerr != nil {
+	fixed := zoo.ParamMap(req.Params)
+	if _, aerr := hybridGroup(eng, src, req.Options.Group, fixed); aerr != nil {
 		return nil, aerr
 	}
 
-	opts, aerr := compileSweepOptions(req.Options, d, eng.Name())
-	if aerr != nil {
-		return nil, aerr
+	o := req.Options
+	if o.BatchWidth < 0 {
+		return nil, requestErrorf(http.StatusBadRequest, CodeBadJSON,
+			"options.batch_width must be non-negative, got %d", o.BatchWidth)
 	}
-	if len(req.Options.Group) > 0 {
-		opts.Group = req.Options.Group
+	if o.SampleTolerance < 0 {
+		return nil, requestErrorf(http.StatusBadRequest, CodeInvalidSample,
+			"options.sample_tolerance must be non-negative, got %g", o.SampleTolerance)
+	}
+	if o.SampleBudget < 0 {
+		return nil, requestErrorf(http.StatusBadRequest, CodeInvalidSample,
+			"options.sample_budget must be non-negative, got %d", o.SampleBudget)
+	}
+	workers := o.Workers
+	if workers <= 0 {
+		workers = d.Workers
+	}
+	batchWidth := o.BatchWidth
+	if batchWidth == 0 {
+		batchWidth = d.BatchWidth
+	}
+	opts := sweep.Options{
+		Workers:    workers,
+		Engine:     eng.Name(),
+		Window:     o.WindowK,
+		Confidence: o.Confidence,
+		Baseline:   o.Baseline,
+		Limit:      sim.Time(o.LimitNs),
+		BatchWidth: batchWidth,
+		Sample: sweep.SampleOptions{
+			Tolerance: o.SampleTolerance,
+			Budget:    o.SampleBudget,
+			Verify:    o.SampleVerify,
+		},
+	}
+	opts.Derive.Reduce = o.Reduce
+	if len(o.Group) > 0 {
+		opts.Group = o.Group
 	} else if eng.Name() == "hybrid" {
 		// Per point: axes may change the structure and with it the
 		// canonical group (e.g. sweeping the fork-join worker count).
 		opts.GroupFor = func(p sweep.Point) []string {
-			return sc.HybridGroup(layeredParams{p: p, fixed: fixed})
+			return src.Group(layeredParams{p: p, fixed: fixed})
 		}
 	}
 	return &SweepPlan{
 		Engine:   eng.Name(),
-		Scenario: sc.Name,
+		Scenario: src.Name,
 		Axes:     axes,
 		Opts:     opts,
 		Total:    points,
 		Gen: func(p sweep.Point) (*model.Architecture, error) {
-			return sc.Build(layeredParams{p: p, fixed: fixed}), nil
+			return src.Build(layeredParams{p: p, fixed: fixed})
 		},
 	}, nil
 }

@@ -14,9 +14,11 @@ import (
 // lanes fill).
 var scenarioSweeps = map[string]serve.SweepRequest{
 	"didactic": {
+		// stages 0 does not build: the coordinator fails that point at
+		// plan time, with the message the local sweep attaches.
 		Scenario: "didactic",
 		Axes: []serve.Axis{
-			{Name: "stages", Values: []int64{1, 2}},
+			{Name: "stages", Values: []int64{0, 1, 2}},
 			{Name: "seed", Values: []int64{3, 5, 7}},
 		},
 		Params: map[string]int64{"tokens": 40},

@@ -1,9 +1,6 @@
 package shard
 
 import (
-	"fmt"
-
-	"dyncomp/internal/derive"
 	"dyncomp/internal/serve"
 	"dyncomp/internal/sweep"
 )
@@ -31,7 +28,7 @@ type jobPlan struct {
 // planJob validates the spec through the exact path a worker will use
 // (serve.CompileSweep), expands the grid, derives each point's
 // structural shape, groups points into the same cohorts the worker-side
-// sweep will form (sweep.CohortKey), and cuts each cohort into chunks.
+// sweep will form (sweep.Prepare), and cuts each cohort into chunks.
 //
 // Chunk cuts are aligned to the effective batch width: every chunk but
 // a cohort's last carries a multiple of the width, so the worker-side
@@ -80,17 +77,17 @@ func planJob(spec serve.SweepRequest, d serve.SweepDefaults, chunkPoints int) (*
 	shapeOf := map[string]string{}
 	shapes := map[string]bool{}
 	for _, p := range pts {
-		shape, key, perr := pointCohort(plan, p)
+		pp, perr := sweep.Prepare(p, plan.Gen, plan.Opts)
 		if perr != nil {
 			jp.failed = append(jp.failed, failedPoint(p, perr))
 			continue
 		}
-		shapes[shape] = true
-		if _, ok := cohorts[key]; !ok {
-			order = append(order, key)
-			shapeOf[key] = shape
+		shapes[pp.Shape] = true
+		if _, ok := cohorts[pp.Key]; !ok {
+			order = append(order, pp.Key)
+			shapeOf[pp.Key] = pp.Shape
 		}
-		cohorts[key] = append(cohorts[key], p.Index)
+		cohorts[pp.Key] = append(cohorts[pp.Key], p.Index)
 	}
 	jp.shapes = len(shapes)
 
@@ -106,39 +103,6 @@ func planJob(spec serve.SweepRequest, d serve.SweepDefaults, chunkPoints int) (*
 		}
 	}
 	return jp, nil
-}
-
-// pointCohort computes one point's structural shape and cohort key,
-// confining builder panics to the point and mirroring the sweep
-// engine's error wrapping so a plan-time failure carries the identical
-// message a worker-side (or single-process) failure would.
-func pointCohort(plan *serve.SweepPlan, p sweep.Point) (shape, key string, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			shape, key = "", ""
-			err = fmt.Errorf("sweep: point %d (%s): panic: %v", p.Index, p, r)
-		}
-	}()
-	a, err := plan.Gen(p)
-	if err != nil {
-		return "", "", fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
-	}
-	if a == nil {
-		return "", "", fmt.Errorf("sweep: point %d (%s): generator returned no architecture", p.Index, p)
-	}
-	shape, err = derive.ShapeKey(a)
-	if err != nil {
-		return "", "", fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
-	}
-	dopts := plan.Opts.Derive
-	if plan.Opts.DeriveFor != nil {
-		dopts = plan.Opts.DeriveFor(p)
-	}
-	group := plan.Opts.Group
-	if plan.Opts.GroupFor != nil {
-		group = plan.Opts.GroupFor(p)
-	}
-	return shape, sweep.CohortKey(shape, dopts, group), nil
 }
 
 // failedPoint renders a plan-time failure in the wire form a worker

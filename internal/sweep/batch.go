@@ -19,13 +19,6 @@ type batchStats struct {
 	points  int // points those invocations evaluated
 }
 
-// genPoint is one pre-generated grid point awaiting batched dispatch.
-type genPoint struct {
-	arch  *model.Architecture
-	dopts derive.Options
-	group []string
-}
-
 // CohortKey names the equivalence class of points a single batched run
 // can carry: one structural shape evaluated under one set of per-point
 // options. Points whose generation or shape derivation fails are
@@ -58,8 +51,7 @@ func CohortKey(shape string, dopts derive.Options, group []string) string {
 // Progress is coalesced: one notification per finished chunk, advancing
 // by the chunk size, still summing to the total under cancellation.
 func runBatched(ctx context.Context, pts []Point, gen Generator, br engine.BatchRunner, refEng engine.Engine, opts Options, cache *derive.Cache, workers int, results []PointResult, report func(int)) batchStats {
-	prep := make([]genPoint, len(pts))
-	keys := make([]string, len(pts))
+	prep := make([]Prepared, len(pts))
 	failed := make([]bool, len(pts))
 
 	// Phase 1: concurrent generation and shape derivation.
@@ -70,8 +62,12 @@ func runBatched(ctx context.Context, pts []Point, gen Generator, br engine.Batch
 		go func() {
 			defer wg.Done()
 			for i := range gjobs {
-				prepPoint(ctx, pts[i], gen, opts, &prep[i], &keys[i], &results[i])
-				failed[i] = results[i].Err != nil
+				err := ctx.Err()
+				if err == nil {
+					prep[i], err = Prepare(pts[i], gen, opts)
+				}
+				results[i] = PointResult{Point: pts[i], Err: err}
+				failed[i] = err != nil
 			}
 		}()
 	}
@@ -99,7 +95,7 @@ func runBatched(ctx context.Context, pts []Point, gen Generator, br engine.Batch
 		if failed[i] {
 			continue
 		}
-		k := keys[i]
+		k := prep[i].Key
 		if _, ok := cohorts[k]; !ok {
 			order = append(order, k)
 		}
@@ -158,52 +154,13 @@ dispatch:
 	return batchStats{batches: int(batches.Load()), points: int(batched.Load())}
 }
 
-// prepPoint generates one point's architecture and cohort key. Panics
-// are confined to the point, exactly as in evalPoint.
-func prepPoint(ctx context.Context, p Point, gen Generator, opts Options, gp *genPoint, key *string, pr *PointResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			*pr = PointResult{Point: p, Err: fmt.Errorf("sweep: point %d (%s): panic: %v", p.Index, p, r)}
-		}
-	}()
-	*pr = PointResult{Point: p}
-	if err := ctx.Err(); err != nil {
-		pr.Err = err
-		return
-	}
-	a, err := gen(p)
-	if err != nil {
-		pr.Err = fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
-		return
-	}
-	if a == nil {
-		pr.Err = fmt.Errorf("sweep: point %d (%s): generator returned no architecture", p.Index, p)
-		return
-	}
-	shape, err := derive.ShapeKey(a)
-	if err != nil {
-		pr.Err = fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
-		return
-	}
-	gp.arch = a
-	gp.dopts = opts.Derive
-	if opts.DeriveFor != nil {
-		gp.dopts = opts.DeriveFor(p)
-	}
-	gp.group = opts.Group
-	if opts.GroupFor != nil {
-		gp.group = opts.GroupFor(p)
-	}
-	*key = CohortKey(shape, gp.dopts, gp.group)
-}
-
 // evalChunk evaluates one shape cohort chunk through the batched engine
 // path; on a wholesale batch failure every point of the chunk re-runs
 // through the scalar path.
-func evalChunk(ctx context.Context, chunk []int, pts []Point, prep []genPoint, gen Generator, br engine.BatchRunner, refEng engine.Engine, opts Options, cache *derive.Cache, results []PointResult, batches, batched *atomic.Int64) {
+func evalChunk(ctx context.Context, chunk []int, pts []Point, prep []Prepared, gen Generator, br engine.BatchRunner, refEng engine.Engine, opts Options, cache *derive.Cache, results []PointResult, batches, batched *atomic.Int64) {
 	archs := make([]*model.Architecture, len(chunk))
 	for l, i := range chunk {
-		archs[l] = prep[i].arch
+		archs[l] = prep[i].Arch
 	}
 	// All chunk members share one cohort key, so the first point's
 	// options speak for the chunk.
@@ -213,8 +170,8 @@ func evalChunk(ctx context.Context, chunk []int, pts []Point, prep []genPoint, g
 		LimitNs:       int64(opts.Limit),
 		WindowK:       opts.Window,
 		Confidence:    opts.Confidence,
-		AbstractGroup: lead.group,
-		Derive:        lead.dopts,
+		AbstractGroup: lead.Group,
+		Derive:        lead.Derive,
 		Cache:         cache,
 	})
 	if err != nil {

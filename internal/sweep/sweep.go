@@ -575,6 +575,51 @@ dispatch:
 	wg.Wait()
 }
 
+// Prepared is one grid point made ready for evaluation: its
+// architecture, structural shape, per-point derive options and hybrid
+// group, and the cohort key a batched run groups it under.
+type Prepared struct {
+	Arch   *model.Architecture
+	Shape  string
+	Key    string
+	Derive derive.Options
+	Group  []string
+}
+
+// Prepare generates one point's architecture, derives its structural
+// shape and applies the per-point option overrides (DeriveFor,
+// GroupFor). The per-point path, the batched path and a distributed
+// coordinator planning chunks all prepare points here, so a point that
+// fails before evaluation carries the same message wherever it fails.
+// Panics are confined to the point.
+func Prepare(p Point, gen Generator, opts Options) (pp Prepared, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			pp, err = Prepared{}, fmt.Errorf("sweep: point %d (%s): panic: %v", p.Index, p, r)
+		}
+	}()
+	a, err := gen(p)
+	if err != nil {
+		return Prepared{}, fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
+	}
+	if a == nil {
+		return Prepared{}, fmt.Errorf("sweep: point %d (%s): generator returned no architecture", p.Index, p)
+	}
+	shape, err := derive.ShapeKey(a)
+	if err != nil {
+		return Prepared{}, fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
+	}
+	pp = Prepared{Arch: a, Shape: shape, Derive: opts.Derive, Group: opts.Group}
+	if opts.DeriveFor != nil {
+		pp.Derive = opts.DeriveFor(p)
+	}
+	if opts.GroupFor != nil {
+		pp.Group = opts.GroupFor(p)
+	}
+	pp.Key = CohortKey(shape, pp.Derive, pp.Group)
+	return pp, nil
+}
+
 // evalPoint evaluates one grid point: generate the architecture, run the
 // selected engine on it (with the sweep's shared derive cache injected),
 // and optionally pair it with a reference-executor baseline. Panics —
@@ -591,31 +636,18 @@ func evalPoint(ctx context.Context, p Point, gen Generator, eng, refEng engine.E
 		}
 	}()
 	pr = PointResult{Point: p}
-	a, err := gen(p)
+	pp, err := Prepare(p, gen, opts)
 	if err != nil {
-		pr.Err = fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
+		pr.Err = err
 		return pr
 	}
-	if a == nil {
-		pr.Err = fmt.Errorf("sweep: point %d (%s): generator returned no architecture", p.Index, p)
-		return pr
-	}
-
-	dopts := opts.Derive
-	if opts.DeriveFor != nil {
-		dopts = opts.DeriveFor(p)
-	}
-	group := opts.Group
-	if opts.GroupFor != nil {
-		group = opts.GroupFor(p)
-	}
-	r, err := eng.Run(ctx, a, engine.Options{
+	r, err := eng.Run(ctx, pp.Arch, engine.Options{
 		Record:        opts.Record,
 		LimitNs:       int64(opts.Limit),
 		WindowK:       opts.Window,
 		Confidence:    opts.Confidence,
-		AbstractGroup: group,
-		Derive:        dopts,
+		AbstractGroup: pp.Group,
+		Derive:        pp.Derive,
 		Cache:         cache,
 	})
 	if err != nil {

@@ -54,7 +54,7 @@ func (s Scenario) ParamNames() []string {
 // builders silently fall back to defaults on absent names, so a typoed
 // parameter would otherwise be ignored without a trace. Serving layers
 // decoding parameters from JSON call this before Build.
-func (s Scenario) CheckParams(p ParamMap) error {
+func (s Scenario) CheckParams(p map[string]int64) error {
 	known := s.ParamNames()
 	var bad []string
 	for name := range p {
@@ -86,6 +86,51 @@ func (s Scenario) GroupFor(engineName string, p Params) []string {
 		return nil
 	}
 	return s.HybridGroup(p)
+}
+
+// Source is a model family as the serving layer and the sweep CLI see
+// it once a request or a command line is resolved: a registered
+// scenario (Scenario.Source) or an inline architecture description
+// (archjson's Spec.Source). Everything downstream of the resolution
+// checks parameters, groups and builds through it without asking which
+// kind it came from.
+type Source struct {
+	// Kind says what the source was resolved from ("scenario" or
+	// "architecture"), for messages.
+	Kind string
+	// Name is the scenario or architecture name.
+	Name string
+	// Check rejects parameter names the family does not recognize.
+	Check func(map[string]int64) error
+	// Build maps a parameter binding to an architecture. It never
+	// panics: a builder failure comes back as an error.
+	Build func(Params) (*model.Architecture, error)
+	// Group returns the canonical hybrid abstraction group at a
+	// parameter binding. Nil when the family has none.
+	Group func(Params) []string
+}
+
+// Source returns the scenario as a model source. Its Build confines the
+// builder's panics (the model layer uses them for invalid
+// configurations) to an error naming the scenario.
+func (s Scenario) Source() Source {
+	return Source{
+		Kind:  "scenario",
+		Name:  s.Name,
+		Check: s.CheckParams,
+		Build: func(p Params) (a *model.Architecture, err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					a, err = nil, fmt.Errorf("scenario %q: %v", s.Name, r)
+				}
+			}()
+			if a = s.Build(p); a == nil {
+				return nil, fmt.Errorf("scenario %q built no architecture", s.Name)
+			}
+			return a, nil
+		},
+		Group: s.HybridGroup,
+	}
 }
 
 // ParamMap is a literal Params implementation for tests and defaults.
