@@ -25,6 +25,7 @@ import (
 	"dyncomp/internal/baseline"
 	"dyncomp/internal/core"
 	"dyncomp/internal/derive"
+	"dyncomp/internal/engine"
 	"dyncomp/internal/hybrid"
 	"dyncomp/internal/ltdecoup"
 	"dyncomp/internal/lte"
@@ -41,12 +42,12 @@ func benchBaseline(b *testing.B, build func() *model.Architecture) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := baseline.Run(build(), baseline.Options{})
+		res, err := baseline.Run(context.Background(), build(), engine.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(float64(res.Stats.Activations), "activations")
+			b.ReportMetric(float64(res.Activations), "activations")
 		}
 	}
 }
@@ -146,14 +147,14 @@ func BenchmarkHybrid(b *testing.B) {
 	b.Run("lte-dsp-group", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := hybrid.Run(
+			res, err := hybrid.Run(context.Background(),
 				lte.Receiver(lte.Spec{Symbols: benchTokens, Seed: 23}),
-				hybrid.Options{Group: lte.FunctionNames[:7]})
+				engine.Options{AbstractGroup: lte.FunctionNames[:7]})
 			if err != nil {
 				b.Fatal(err)
 			}
 			if i == 0 {
-				b.ReportMetric(float64(res.Stats.Activations), "activations")
+				b.ReportMetric(float64(res.Activations), "activations")
 			}
 		}
 	})
@@ -183,20 +184,20 @@ func BenchmarkAdaptive(b *testing.B) {
 	})
 	for _, det := range []struct {
 		name string
-		opts adaptive.Options
+		opts engine.Options
 	}{
-		{"adaptive/fixed-window", adaptive.Options{Window: adaptive.DefaultWindow}},
-		{"adaptive/confidence", adaptive.Options{}},
+		{"adaptive/fixed-window", engine.Options{WindowK: adaptive.DefaultWindow}},
+		{"adaptive/confidence", engine.Options{}},
 	} {
 		b.Run(det.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := adaptive.Run(build(), det.opts)
+				res, err := adaptive.Run(context.Background(), build(), det.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					b.ReportMetric(float64(res.Stats.Events()), "events")
+					b.ReportMetric(float64(res.Events), "events")
 					b.ReportMetric(float64(res.Switches), "switches")
 					b.ReportMetric(eventsToFirstSwitch(res), "events-to-switch")
 				}
@@ -208,10 +209,10 @@ func BenchmarkAdaptive(b *testing.B) {
 // eventsToFirstSwitch sums the kernel events of the detailed phases
 // before the first abstract phase: the price of not having switched
 // yet. Runs that never switch pay for the whole stream.
-func eventsToFirstSwitch(res *adaptive.Result) float64 {
+func eventsToFirstSwitch(res *engine.Result) float64 {
 	var events int64
 	for _, ph := range res.Phases {
-		if ph.Mode == adaptive.Abstract {
+		if ph.Mode == engine.ModeAbstract {
 			break
 		}
 		events += ph.Events

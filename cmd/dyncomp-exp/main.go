@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"dyncomp/internal/engine"
@@ -31,12 +32,17 @@ import (
 )
 
 func main() {
-	which := flag.String("exp", "all", "experiment: table1|fig5|fig6|casestudy|accuracy|adaptive|quantum|all")
+	const experiments = "table1|fig5|fig6|casestudy|accuracy|adaptive|quantum|all"
+	which := flag.String("exp", "all", "experiment: "+experiments)
 	engName := flag.String("engine", "equivalent", "engine under test for -exp accuracy: "+strings.Join(engine.Names(), "|"))
 	tokens := flag.Int("tokens", 20000, "workload size (tokens/symbols)")
 	frames := flag.Int("frames", 2, "LTE frames for fig6")
 	csvDir := flag.String("csv", "", "directory for CSV output (fig6)")
 	flag.Parse()
+	if !slices.Contains(strings.Split(experiments, "|"), *which) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (known: %s)\n", *which, experiments)
+		os.Exit(1)
+	}
 
 	run := func(name string, f func() error) {
 		if *which != "all" && *which != name {

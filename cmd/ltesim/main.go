@@ -1,30 +1,50 @@
 // Command ltesim runs the LTE receiver case study (Section V of the
-// paper) with both execution engines and prints a usage report: per-frame
+// paper) with any registered engine and prints a usage report: per-frame
 // parameters, resource utilization, complexity peaks and the measured
-// event saving.
+// event saving. "both" runs the reference executor and the equivalent
+// model and checks that their evolution instants are identical.
 //
 //	ltesim -frames 10
 //	ltesim -frames 10 -engine reference
+//	ltesim -frames 10 -engine both
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"dyncomp/internal/baseline"
-	"dyncomp/internal/core"
-	"dyncomp/internal/derive"
+	_ "dyncomp/internal/adaptive"
+	_ "dyncomp/internal/baseline"
+	_ "dyncomp/internal/core"
+	"dyncomp/internal/engine"
+	_ "dyncomp/internal/hybrid"
 	"dyncomp/internal/lte"
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/observe"
+	"dyncomp/internal/zoo"
 )
 
 func main() {
 	frames := flag.Int("frames", 4, "number of 14-symbol frames")
 	seed := flag.Int64("seed", 23, "frame parameter seed")
-	engine := flag.String("engine", "equivalent", "engine: reference|equivalent|both")
+	engName := flag.String("engine", "equivalent", "engine: "+strings.Join(engine.Names(), "|")+"|both")
 	flag.Parse()
+
+	names := []string{*engName}
+	if *engName == "both" {
+		names = []string{"reference", "equivalent"}
+	}
+	engines := make([]engine.Engine, len(names))
+	for i, name := range names {
+		e, err := engine.Lookup(name)
+		fail(err)
+		engines[i] = e
+	}
+	sc, err := zoo.LookupScenario("lte")
+	fail(err)
 
 	symbols := *frames * lte.SymbolsPerFrame
 	fmt.Printf("LTE receiver: %d frames (%d symbols), symbol period %d ns\n\n", *frames, symbols, int64(lte.SymbolPeriod))
@@ -35,33 +55,25 @@ func main() {
 	}
 	fmt.Println()
 
-	var refTrace, eqTrace *observe.Trace
-	var refActs, eqActs int64
-	if *engine == "reference" || *engine == "both" {
-		refTrace = observe.NewTrace("reference")
-		res, err := baseline.Run(lte.Receiver(lte.Spec{Symbols: symbols, Seed: *seed}), baseline.Options{Trace: refTrace})
+	params := zoo.ParamMap{"symbols": int64(symbols), "seed": *seed}
+	results := make([]*engine.Result, len(engines))
+	for i, e := range engines {
+		res, err := e.Run(context.Background(), sc.Build(params), engine.Options{
+			Record:        true,
+			AbstractGroup: sc.GroupFor(e.Name(), params),
+		})
 		fail(err)
-		refActs = res.Stats.Activations
-		report("reference executor", refTrace, refActs)
+		report(e.Name(), res.Trace, res.Activations)
+		results[i] = res
 	}
-	if *engine == "equivalent" || *engine == "both" {
-		dres, err := derive.Derive(lte.Receiver(lte.Spec{Symbols: symbols, Seed: *seed}), derive.Options{})
-		fail(err)
-		m, err := core.New(dres)
-		fail(err)
-		eqTrace = observe.NewTrace("equivalent")
-		res, err := m.Run(core.Options{Trace: eqTrace})
-		fail(err)
-		eqActs = res.Stats.Activations
-		report("equivalent model", eqTrace, eqActs)
-	}
-	if refTrace != nil && eqTrace != nil {
-		if err := observe.CompareInstants(refTrace, eqTrace); err != nil {
+	if len(results) == 2 {
+		ref, eq := results[0], results[1]
+		if err := observe.CompareInstants(ref.Trace, eq.Trace); err != nil {
 			fmt.Printf("ACCURACY VIOLATION: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("accuracy: all evolution instants identical; event ratio %.2f\n",
-			float64(refActs)/float64(eqActs))
+			float64(ref.Activations)/float64(eq.Activations))
 	}
 }
 

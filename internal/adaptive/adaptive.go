@@ -6,7 +6,7 @@
 // mode) and watches the evolution for a confirmed steady state: an
 // unchanged parameter signature — every data-dependent execution duration
 // and every source-schedule increment — confirmed by an online detector,
-// either a fixed window of iterations (Options.Window) or, by default,
+// either a fixed window of iterations (Options.WindowK) or, by default,
 // a confidence-driven estimator that fires as early as the evidence
 // allows (see detector.go). Once confirmed, the steady region is
 // hot-switched to the
@@ -39,11 +39,11 @@ package adaptive
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"dyncomp/internal/baseline"
 	"dyncomp/internal/derive"
+	"dyncomp/internal/engine"
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
@@ -53,122 +53,62 @@ import (
 
 // DefaultWindow is the historical fixed-window width: the confirmation
 // window (and detailed chunk length) of the original detector. Pass it
-// as Options.Window to reproduce the pre-confidence behavior exactly;
-// a zero Window now selects the confidence-driven detector.
+// as Options.WindowK to reproduce the pre-confidence behavior exactly;
+// a zero WindowK selects the confidence-driven detector.
 const DefaultWindow = 8
 
-// Mode identifies the engine executing a span of iterations.
-type Mode int
+// adEngine registers temporal abstraction under the uniform engine
+// contract.
+type adEngine struct{}
 
-// Execution modes.
-const (
-	// Detailed is event-by-event execution on the simulation kernel.
-	Detailed Mode = iota
-	// Abstract is dynamic computation over the temporal dependency graph.
-	Abstract
-)
+func (adEngine) Name() string { return "adaptive" }
 
-func (m Mode) String() string {
-	switch m {
-	case Detailed:
-		return "detailed"
-	case Abstract:
-		return "abstract"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
+func (adEngine) Run(ctx context.Context, a *model.Architecture, opts engine.Options) (*engine.Result, error) {
+	return Run(ctx, a, opts)
 }
 
-// Options configures an adaptive run.
-type Options struct {
-	// Trace records evolution instants and resource activity,
-	// bit-exact against the reference executor. The engine records
-	// internally even without it (the history seeds every switch), so
-	// requesting the trace costs nothing extra.
-	Trace *observe.Trace
-	// Limit bounds simulated time; zero runs to completion. The adaptive
-	// engine truncates at iteration granularity: the run stops after the
-	// first iteration whose instants exceed the limit.
-	Limit sim.Time
-	// Window, when positive, selects the fixed-window detector: the
-	// number of consecutive iterations with an identical parameter
-	// signature required before switching to the abstract engine, which
-	// is also the detailed chunk length between steady-state checks.
-	// Zero selects the confidence-driven detector (see Confidence),
-	// which fires as early as the evidence allows.
-	Window int
-	// Confidence is the confidence-driven detector's posterior
-	// steadiness threshold in (0, 1), read when Window is zero. Zero
-	// means DefaultConfidence. Higher thresholds demand more evidence
-	// before switching; the detector is a policy either way — the
-	// recorded evolution is bit-exact at any setting.
-	Confidence float64
-	// Derive sets the derivation options (arc reduction, pad nodes) for
-	// every graph the run obtains through the cache.
-	Derive derive.Options
-	// Cache supplies a shared structure-keyed derivation cache (e.g. from
-	// a design-space sweep); nil creates a private one. Every switch to
-	// the abstract engine obtains its graph through the cache, so repeated
-	// steady windows re-bind one template instead of re-deriving.
-	Cache *derive.Cache
-	// IterLimit, when positive, bounds the evolution to iterations
-	// [0, IterLimit): every source stops after token IterLimit-1.
-	IterLimit int
-	// Ctx, when non-nil, is checked at every phase boundary: a cancelled
-	// context aborts the run with its error. Nil never cancels.
-	Ctx context.Context
-	// Progress, when non-nil, is invoked at every phase boundary with the
-	// number of completed iterations and the total.
-	Progress func(done, total int)
-}
-
-// Phase is one maximal span of iterations executed in a single mode.
-type Phase struct {
-	Mode   Mode
-	StartK int // first iteration of the span
-	EndK   int // one past the last iteration
-	// Events and Activations are the kernel work paid during the span
-	// (zero for abstract phases — that is the point of the method).
-	Events      int64
-	Activations int64
-	// Wall is the host time spent in the span.
-	Wall time.Duration
-}
-
-// Result reports a completed adaptive run.
-type Result struct {
-	// Stats sums the kernel work of all detailed phases; abstract phases
-	// contribute nothing. FinalTime covers the whole evolution, including
-	// instants computed abstractly.
-	Stats sim.Stats
-	// Trace is Options.Trace (nil when none was supplied).
-	Trace *observe.Trace
-	// Iterations is the number of evolution iterations completed.
-	Iterations int
-	// GraphNodes is the derived graph size in the paper's counting.
-	GraphNodes int
-	// Switches counts detailed→abstract transitions; Fallbacks counts
-	// abstract→detailed transitions forced by a parameter change.
-	Switches  int
-	Fallbacks int
-	// DetailedIters and AbstractIters count iterations per mode.
-	DetailedIters int
-	AbstractIters int
-	// Detector describes the steady-state detection policy that drove
-	// the run ("fixed:8", "confidence:0.90").
-	Detector string
-	// Phases lists the mode spans in execution order.
-	Phases []Phase
-}
+func init() { engine.Register(adEngine{}) }
 
 // Run simulates the architecture with the adaptive engine. The recorded
 // evolution is bit-exact against the reference executor regardless of how
 // the run is partitioned into detailed and abstract phases.
-func Run(a *model.Architecture, opts Options) (*Result, error) {
-	if err := a.Validate(); err != nil {
-		return nil, err
+//
+// The adaptive-specific options: opts.WindowK, when positive, selects the
+// fixed-window detector — the number of consecutive iterations with an
+// identical parameter signature required before switching to the
+// abstract engine, which is also the detailed chunk length between
+// steady-state checks; zero selects the confidence-driven detector with
+// threshold opts.Confidence (zero: DefaultConfidence). The detector is a
+// policy either way — the recorded evolution is bit-exact at any
+// setting. opts.LimitNs truncates at iteration granularity: the run
+// stops after the first iteration whose instants exceed the limit.
+// Every switch to the abstract engine obtains its graph through
+// opts.Cache (nil: a private cache), so repeated steady windows re-bind
+// one template instead of re-deriving. The context is checked and
+// opts.Progress invoked at every phase boundary; the kernel itself is
+// uninterruptible, so a cancelled context aborts between phases, never
+// inside one.
+//
+// Result.WallNs covers the whole run: graph (re-)derivation through the
+// cache is part of how this engine executes, not a separate
+// model-generation step. Result.Phases lists the mode spans in
+// execution order; abstract phases pay no kernel work.
+func Run(ctx context.Context, a *model.Architecture, opts engine.Options) (*engine.Result, error) {
+	res, _, err := run(ctx, a, opts)
+	return res, err
+}
+
+// run is Run, also returning the kernel work summed over the detailed
+// phases, with FinalTime covering the whole evolution.
+func run(ctx context.Context, a *model.Architecture, opts engine.Options) (*engine.Result, sim.Stats, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, sim.Stats{}, err
 	}
-	det := newDetector(opts.Window, opts.Confidence)
+	begin := time.Now()
+	if err := a.Validate(); err != nil {
+		return nil, sim.Stats{}, err
+	}
+	det := newDetector(opts.WindowK, opts.Confidence)
 	cache := opts.Cache
 	if cache == nil {
 		cache = derive.NewCache()
@@ -176,27 +116,26 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	dopts := opts.Derive
 	dres, err := cache.Derive(a, dopts)
 	if err != nil {
-		return nil, err
+		return nil, sim.Stats{}, err
 	}
 	n, err := a.Iterations()
 	if err != nil {
-		return nil, err
+		return nil, sim.Stats{}, err
 	}
 	if opts.IterLimit > 0 && opts.IterLimit < n {
 		n = opts.IterLimit
 	}
-	rec := opts.Trace
-	if rec == nil {
-		rec = observe.NewTrace(a.Name + "/adaptive")
-	}
+	// The engine records internally even without a requested trace (the
+	// history seeds every switch), so recording costs nothing extra.
+	rec := observe.NewTrace(a.Name + "/adaptive")
 	execs, err := a.Execs()
 	if err != nil {
-		return nil, err
+		return nil, sim.Stats{}, err
 	}
 
 	r := &runner{
 		arch:  a,
-		opts:  opts,
+		limit: sim.Time(opts.LimitNs),
 		det:   det,
 		cache: cache,
 		dopts: dopts,
@@ -206,21 +145,24 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 		execs: execs,
 	}
 	if err := r.buildFloorPoints(); err != nil {
-		return nil, err
+		return nil, sim.Stats{}, err
 	}
 
-	res := &Result{Trace: opts.Trace, GraphNodes: dres.Graph.NodeCountWithDelays(), Detector: det.String()}
-	// phaseDone runs at every phase boundary: report progress, honor
-	// cancellation. The kernel itself is uninterruptible, so a cancelled
-	// context aborts between phases, never inside one.
-	phaseDone := func(k int) error {
+	res := &engine.Result{GraphNodes: dres.Graph.NodeCountWithDelays()}
+	if opts.Record {
+		res.Trace = rec
+	}
+	// phase closes a span at every phase boundary: record it, report
+	// progress, honor cancellation.
+	phase := func(ph engine.Phase, start time.Time, before sim.Stats) error {
+		ph.WallNs = time.Since(start).Nanoseconds()
+		ph.Events = r.total.Events() - before.Events()
+		ph.Activations = r.total.Activations - before.Activations
+		res.Phases = append(res.Phases, ph)
 		if opts.Progress != nil {
-			opts.Progress(k, n)
+			opts.Progress(ph.EndK, n)
 		}
-		if opts.Ctx != nil {
-			return opts.Ctx.Err()
-		}
-		return nil
+		return ctx.Err()
 	}
 	k := 0
 	for k < n && !r.truncated {
@@ -229,9 +171,7 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 		// signature check the abstract engine performs before every
 		// computed iteration). The chunk length between checks is the
 		// detector's own estimate of the earliest possible confirmation.
-		ph := Phase{Mode: Detailed, StartK: k}
-		start := time.Now()
-		before := r.total
+		k0, start, before := k, time.Now(), r.total
 		for k < n && !r.truncated {
 			r.advanceDetector(k)
 			k1 := k + r.det.nextCheck()
@@ -240,20 +180,14 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 			}
 			k, err = r.runChunk(k, k1)
 			if err != nil {
-				return nil, err
+				return nil, sim.Stats{}, err
 			}
 			if r.switchable(k) {
 				break
 			}
 		}
-		ph.EndK = k
-		ph.Wall = time.Since(start)
-		ph.Events = r.total.Events() - before.Events()
-		ph.Activations = r.total.Activations - before.Activations
-		res.Phases = append(res.Phases, ph)
-		res.DetailedIters += ph.EndK - ph.StartK
-		if err := phaseDone(k); err != nil {
-			return nil, err
+		if err := phase(engine.Phase{Mode: engine.ModeDetailed, StartK: k0, EndK: k}, start, before); err != nil {
+			return nil, sim.Stats{}, err
 		}
 		if k >= n || r.truncated {
 			break
@@ -262,36 +196,37 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 		// Abstract: compute instants over the (re-bound) graph until the
 		// parameter signature deviates from the confirmed steady one.
 		res.Switches++
-		ph = Phase{Mode: Abstract, StartK: k}
-		start = time.Now()
+		k0, start, before = k, time.Now(), r.total
 		k, err = r.runAbstract(k)
 		if err != nil {
-			return nil, err
+			return nil, sim.Stats{}, err
 		}
-		ph.EndK = k
-		ph.Wall = time.Since(start)
-		res.Phases = append(res.Phases, ph)
-		res.AbstractIters += ph.EndK - ph.StartK
-		if err := phaseDone(k); err != nil {
-			return nil, err
+		if err := phase(engine.Phase{Mode: engine.ModeAbstract, StartK: k0, EndK: k}, start, before); err != nil {
+			return nil, sim.Stats{}, err
 		}
 		if k < n && !r.truncated {
 			res.Fallbacks++
 		}
 	}
 
-	res.Stats = r.total
-	if r.endTime > sim.Time(res.Stats.FinalTime) {
-		res.Stats.FinalTime = r.endTime
+	// FinalTime covers the whole evolution, including instants computed
+	// abstractly; the kernel counters sum the detailed phases.
+	st := r.total
+	if r.endTime > st.FinalTime {
+		st.FinalTime = r.endTime
 	}
+	res.Activations = st.Activations
+	res.Events = st.Events()
+	res.FinalTimeNs = int64(st.FinalTime)
 	res.Iterations = k
-	return res, nil
+	res.WallNs = time.Since(begin).Nanoseconds()
+	return res, st, nil
 }
 
 // runner is the state of one adaptive run.
 type runner struct {
 	arch  *model.Architecture
-	opts  Options
+	limit sim.Time // simulated-time bound (0: none)
 	det   detector
 	cache *derive.Cache
 	dopts derive.Options
@@ -417,7 +352,7 @@ func (r *runner) runChunk(k0, k1 int) (int, error) {
 	if _, err := baseline.Attach(kern, r.arch, aopts); err != nil {
 		return k0, err
 	}
-	limit := r.opts.Limit
+	limit := r.limit
 	if limit <= 0 {
 		limit = sim.Forever
 	}
@@ -425,7 +360,7 @@ func (r *runner) runChunk(k0, k1 int) (int, error) {
 		return k0, err
 	}
 	st := kern.Stats()
-	if r.opts.Limit > 0 && st.FinalTime >= r.opts.Limit {
+	if r.limit > 0 && st.FinalTime >= r.limit {
 		r.truncated = true
 	}
 	if st.FinalTime > r.endTime {
@@ -494,7 +429,7 @@ func (r *runner) runAbstract(k0 int) (int, error) {
 			r.endTime = iterEnd
 		}
 		k++
-		if r.opts.Limit > 0 && iterEnd >= r.opts.Limit {
+		if r.limit > 0 && iterEnd >= r.limit {
 			r.truncated = true
 			break
 		}

@@ -1,11 +1,13 @@
 package adaptive
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"dyncomp/internal/baseline"
 	"dyncomp/internal/derive"
+	"dyncomp/internal/engine"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
 	"dyncomp/internal/sim"
@@ -15,14 +17,25 @@ import (
 
 // refTrace runs the pure reference executor on a fresh architecture
 // instance and returns its trace and stats.
-func refTrace(t *testing.T, build func() *model.Architecture) (*observe.Trace, *baseline.Result) {
+func refTrace(t *testing.T, build func() *model.Architecture) (*observe.Trace, *engine.Result) {
 	t.Helper()
-	tr := observe.NewTrace("reference")
-	res, err := baseline.Run(build(), baseline.Options{Trace: tr})
+	res, err := baseline.Run(context.Background(), build(), engine.Options{Record: true})
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	return tr, res
+	return res.Trace, res
+}
+
+// modeIters counts the iterations a run spent in each mode.
+func modeIters(res *engine.Result) (detailed, abstract int) {
+	for _, ph := range res.Phases {
+		if ph.Mode == engine.ModeAbstract {
+			abstract += ph.EndK - ph.StartK
+		} else {
+			detailed += ph.EndK - ph.StartK
+		}
+	}
+	return detailed, abstract
 }
 
 // scenarios is the full test matrix: every scenario must produce a
@@ -74,17 +87,16 @@ func TestBitExactVsReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			want, _ := refTrace(t, build)
 			for _, w := range []int{2, 3, 5, 8, 100000} {
-				got := observe.NewTrace("adaptive")
-				res, err := Run(build(), Options{Trace: got, Window: w})
+				res, err := Run(context.Background(), build(), engine.Options{Record: true, WindowK: w})
 				if err != nil {
 					t.Fatalf("window %d: %v", w, err)
 				}
-				if err := observe.CompareInstants(want, got); err != nil {
+				if err := observe.CompareInstants(want, res.Trace); err != nil {
 					t.Fatalf("window %d: trace differs: %v", w, err)
 				}
-				if res.DetailedIters+res.AbstractIters != res.Iterations {
+				if detailed, abstract := modeIters(res); detailed+abstract != res.Iterations {
 					t.Fatalf("window %d: iteration accounting: %d + %d != %d",
-						w, res.DetailedIters, res.AbstractIters, res.Iterations)
+						w, detailed, abstract, res.Iterations)
 				}
 			}
 		})
@@ -102,10 +114,11 @@ func TestActivitiesMatchReference(t *testing.T) {
 		return zoo.Phased(zoo.PhasedSpec{Tokens: 300, Period: 1100, Seed: 7})
 	}
 	want, _ := refTrace(t, build)
-	got := observe.NewTrace("adaptive")
-	if _, err := Run(build(), Options{Trace: got}); err != nil {
+	ares, err := Run(context.Background(), build(), engine.Options{Record: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	got := ares.Trace
 	key := func(a observe.Activity) string { return fmt.Sprintf("%s/%d", a.Label, a.K) }
 	for _, res := range want.Resources() {
 		wa, ga := want.Activities(res), got.Activities(res)
@@ -133,18 +146,17 @@ func TestEventsSavedAndFallbacks(t *testing.T) {
 		return zoo.Phased(zoo.PhasedSpec{Tokens: 1200, Period: 1100, Seed: 7})
 	}
 	want, ref := refTrace(t, build)
-	got := observe.NewTrace("adaptive")
-	res, err := Run(build(), Options{Trace: got})
+	res, err := Run(context.Background(), build(), engine.Options{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := observe.CompareInstants(want, got); err != nil {
+	if err := observe.CompareInstants(want, res.Trace); err != nil {
 		t.Fatalf("trace differs: %v", err)
 	}
-	refEvents := ref.Stats.Events()
-	if res.Stats.Events() > refEvents/2 {
+	refEvents := ref.Events
+	if res.Events > refEvents/2 {
 		t.Fatalf("adaptive paid %d kernel events, want <= half of reference's %d",
-			res.Stats.Events(), refEvents)
+			res.Events, refEvents)
 	}
 	if res.Switches < 1 {
 		t.Fatalf("no detailed→abstract switch: %+v", res)
@@ -152,9 +164,9 @@ func TestEventsSavedAndFallbacks(t *testing.T) {
 	if res.Fallbacks < 1 {
 		t.Fatalf("no abstract→detailed fallback: %+v", res)
 	}
-	if res.AbstractIters <= res.DetailedIters {
+	if detailed, abstract := modeIters(res); abstract <= detailed {
 		t.Fatalf("abstract share too small: %d abstract vs %d detailed",
-			res.AbstractIters, res.DetailedIters)
+			abstract, detailed)
 	}
 }
 
@@ -162,7 +174,7 @@ func TestEventsSavedAndFallbacks(t *testing.T) {
 // are contiguous and alternate modes, abstract phases pay zero kernel
 // events, and the events sum matches the total.
 func TestPhaseAccounting(t *testing.T) {
-	res, err := Run(zoo.Phased(zoo.PhasedSpec{Tokens: 600, Period: 1100, Seed: 7}), Options{})
+	res, err := Run(context.Background(), zoo.Phased(zoo.PhasedSpec{Tokens: 600, Period: 1100, Seed: 7}), engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +193,7 @@ func TestPhaseAccounting(t *testing.T) {
 		if i > 0 && ph.Mode == res.Phases[i-1].Mode {
 			t.Fatalf("phases %d and %d share mode %v", i-1, i, ph.Mode)
 		}
-		if ph.Mode == Abstract && (ph.Events != 0 || ph.Activations != 0) {
+		if ph.Mode == engine.ModeAbstract && (ph.Events != 0 || ph.Activations != 0) {
 			t.Fatalf("abstract phase %d paid kernel work: %+v", i, ph)
 		}
 		next = ph.EndK
@@ -190,8 +202,8 @@ func TestPhaseAccounting(t *testing.T) {
 	if next != res.Iterations {
 		t.Fatalf("phases end at %d, want %d", next, res.Iterations)
 	}
-	if events != res.Stats.Events() {
-		t.Fatalf("phase events sum %d != total %d", events, res.Stats.Events())
+	if events != res.Events {
+		t.Fatalf("phase events sum %d != total %d", events, res.Events)
 	}
 }
 
@@ -201,21 +213,19 @@ func TestDeterminism(t *testing.T) {
 	build := func() *model.Architecture {
 		return zoo.Phased(zoo.PhasedSpec{Tokens: 500, Period: 1100, Seed: 23, UseFIFO: true})
 	}
-	t1 := observe.NewTrace("a")
-	r1, err := Run(build(), Options{Trace: t1})
+	r1, s1, err := run(context.Background(), build(), engine.Options{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2 := observe.NewTrace("b")
-	r2, err := Run(build(), Options{Trace: t2})
+	r2, s2, err := run(context.Background(), build(), engine.Options{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := observe.CompareInstants(t1, t2); err != nil {
+	if err := observe.CompareInstants(r1.Trace, r2.Trace); err != nil {
 		t.Fatalf("runs differ: %v", err)
 	}
-	if r1.Stats != r2.Stats || r1.Switches != r2.Switches || r1.Fallbacks != r2.Fallbacks {
-		t.Fatalf("stats differ: %+v vs %+v", r1, r2)
+	if s1 != s2 || r1.Switches != r2.Switches || r1.Fallbacks != r2.Fallbacks {
+		t.Fatalf("stats differ: %+v %+v vs %+v %+v", s1, r1, s2, r2)
 	}
 	if len(r1.Phases) != len(r2.Phases) {
 		t.Fatalf("phase plans differ: %d vs %d", len(r1.Phases), len(r2.Phases))
@@ -238,11 +248,11 @@ func TestSharedCacheRebinds(t *testing.T) {
 		return zoo.Phased(zoo.PhasedSpec{Tokens: 400, Period: 1100, Seed: seed})
 	}
 	before := derive.Calls()
-	r1, err := Run(build(7), Options{Cache: cache})
+	r1, err := Run(context.Background(), build(7), engine.Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(build(8), Options{Cache: cache}); err != nil {
+	if _, err := Run(context.Background(), build(8), engine.Options{Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
 	if got := derive.Calls() - before; got != 1 {
@@ -257,25 +267,25 @@ func TestSharedCacheRebinds(t *testing.T) {
 // TestTimeLimitTruncates checks that a simulated-time limit stops the
 // run early at iteration granularity.
 func TestTimeLimitTruncates(t *testing.T) {
-	full, err := Run(zoo.Phased(zoo.PhasedSpec{Tokens: 400, Period: 1100, Seed: 7}), Options{})
+	full, err := Run(context.Background(), zoo.Phased(zoo.PhasedSpec{Tokens: 400, Period: 1100, Seed: 7}), engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A limit landing inside a detailed chunk (the first window runs
 	// detailed) must not report iterations the kernel never completed.
 	for _, div := range []sim.Time{4, 100} {
-		tr := observe.NewTrace("limited")
-		lim, err := Run(zoo.Phased(zoo.PhasedSpec{Tokens: 400, Period: 1100, Seed: 7}),
-			Options{Trace: tr, Limit: sim.Time(full.Stats.FinalTime) / div})
+		lim, err := Run(context.Background(), zoo.Phased(zoo.PhasedSpec{Tokens: 400, Period: 1100, Seed: 7}),
+			engine.Options{Record: true, LimitNs: int64(sim.Time(full.FinalTimeNs) / div)})
 		if err != nil {
 			t.Fatal(err)
 		}
+		tr := lim.Trace
 		if lim.Iterations >= full.Iterations {
 			t.Fatalf("limit/%d did not truncate: %d vs %d iterations", div, lim.Iterations, full.Iterations)
 		}
-		if lim.DetailedIters+lim.AbstractIters != lim.Iterations {
+		if detailed, abstract := modeIters(lim); detailed+abstract != lim.Iterations {
 			t.Fatalf("limit/%d: iteration accounting: %d + %d != %d",
-				div, lim.DetailedIters, lim.AbstractIters, lim.Iterations)
+				div, detailed, abstract, lim.Iterations)
 		}
 		for _, label := range tr.Labels() {
 			if n := len(tr.Instants(label)); n < lim.Iterations {
@@ -290,7 +300,7 @@ func TestTimeLimitTruncates(t *testing.T) {
 func TestRejectsInvalid(t *testing.T) {
 	a := model.NewArchitecture("broken")
 	a.AddChannel("M", model.Rendezvous, 0)
-	if _, err := Run(a, Options{}); err == nil {
+	if _, err := Run(context.Background(), a, engine.Options{}); err == nil {
 		t.Fatal("expected validation error")
 	}
 }

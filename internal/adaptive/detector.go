@@ -15,7 +15,7 @@ import "fmt"
 // window.
 
 // DefaultConfidence is the posterior steadiness threshold of the
-// confidence-driven detector selected when Options.Window and
+// confidence-driven detector selected when Options.WindowK and
 // Options.Confidence are both zero.
 const DefaultConfidence = 0.9
 
@@ -51,7 +51,7 @@ type detector interface {
 	// at least 1.
 	nextCheck() int
 	// String describes the detector and its parameters for
-	// introspection (Result.Detector).
+	// introspection ("fixed:8", "confidence:0.90").
 	String() string
 }
 

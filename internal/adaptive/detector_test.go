@@ -1,9 +1,11 @@
 package adaptive
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"dyncomp/internal/engine"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
 	"dyncomp/internal/zoo"
@@ -215,39 +217,39 @@ func TestConfidenceSwitchesEarlierOnPhased(t *testing.T) {
 	}
 	want, _ := refTrace(t, build)
 
-	eventsToSwitch := func(res *Result) (int64, bool) {
+	eventsToSwitch := func(res *engine.Result) (int64, bool) {
 		var events int64
 		for _, ph := range res.Phases {
-			if ph.Mode == Abstract {
+			if ph.Mode == engine.ModeAbstract {
 				return events, true
 			}
 			events += ph.Events
 		}
 		return events, false
 	}
-	run := func(opts Options) (*Result, int64) {
-		got := observe.NewTrace("adaptive")
-		opts.Trace = got
-		res, err := Run(build(), opts)
+	run := func(opts engine.Options) (string, int64) {
+		detector := newDetector(opts.WindowK, opts.Confidence).String()
+		opts.Record = true
+		res, err := Run(context.Background(), build(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := observe.CompareInstants(want, got); err != nil {
-			t.Fatalf("%s: trace differs from reference: %v", res.Detector, err)
+		if err := observe.CompareInstants(want, res.Trace); err != nil {
+			t.Fatalf("%s: trace differs from reference: %v", detector, err)
 		}
 		events, switched := eventsToSwitch(res)
 		if !switched {
-			t.Fatalf("%s: never switched on the phased workload", res.Detector)
+			t.Fatalf("%s: never switched on the phased workload", detector)
 		}
-		return res, events
+		return detector, events
 	}
-	fixed, fixedEvents := run(Options{Window: DefaultWindow})
-	conf, confEvents := run(Options{})
+	fixed, fixedEvents := run(engine.Options{WindowK: DefaultWindow})
+	conf, confEvents := run(engine.Options{})
 	if confEvents >= fixedEvents {
 		t.Fatalf("confidence paid %d kernel events to its first switch, fixed window %d — no reduction",
 			confEvents, fixedEvents)
 	}
 	t.Logf("events to first switch: %s %d vs %s %d (%.0f%% saved)",
-		conf.Detector, confEvents, fixed.Detector, fixedEvents,
+		conf, confEvents, fixed, fixedEvents,
 		100*(1-float64(confEvents)/float64(fixedEvents)))
 }

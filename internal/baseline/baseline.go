@@ -12,53 +12,69 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"dyncomp/internal/chanrt"
+	"dyncomp/internal/engine"
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
 	"dyncomp/internal/sim"
 )
 
-// Options configures a baseline run.
-type Options struct {
-	// Trace, when non-nil, records evolution instants and resource
-	// activity. Recording costs time; benchmark runs leave it nil.
-	Trace *observe.Trace
-	// Limit bounds simulation time; zero means run until the event queue
-	// drains (all source tokens consumed).
-	Limit sim.Time
-	// IterLimit, when positive, bounds the evolution to iterations
-	// [0, IterLimit): every source stops after token IterLimit-1.
-	IterLimit int
+// refEngine registers the reference executor under the uniform engine
+// contract.
+type refEngine struct{}
+
+func (refEngine) Name() string { return "reference" }
+
+func (refEngine) Run(ctx context.Context, a *model.Architecture, opts engine.Options) (*engine.Result, error) {
+	return Run(ctx, a, opts)
 }
 
-// Result reports a completed run.
-type Result struct {
-	Stats sim.Stats
-	Trace *observe.Trace
-}
+func init() { engine.Register(refEngine{}) }
 
 // Run simulates the architecture event-by-event until every source is
-// exhausted and the pipeline has drained. The architecture must validate.
-func Run(a *model.Architecture, opts Options) (*Result, error) {
+// exhausted and the pipeline has drained (or opts.LimitNs is reached).
+// The architecture must validate. The reference executor needs no
+// derivation, so opts.Derive and opts.Cache are ignored.
+func Run(ctx context.Context, a *model.Architecture, opts engine.Options) (*engine.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var trace *observe.Trace
+	if opts.Record {
+		trace = observe.NewTrace(a.Name + "/reference")
+	}
+	begin := time.Now()
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	limit := opts.Limit
+	limit := sim.Time(opts.LimitNs)
 	if limit <= 0 {
 		limit = sim.Forever
 	}
 
 	k := sim.New()
-	if _, err := Attach(k, a, AttachOptions{Trace: opts.Trace, IterLimit: opts.IterLimit}); err != nil {
+	if _, err := Attach(k, a, AttachOptions{Trace: trace, IterLimit: opts.IterLimit}); err != nil {
 		return nil, err
 	}
 	if err := k.Run(limit); err != nil {
 		return nil, err
 	}
-	return &Result{Stats: k.Stats(), Trace: opts.Trace}, nil
+	if opts.Progress != nil {
+		opts.Progress(0, 0) // the kernel does not count iterations
+	}
+	st := k.Stats()
+	return &engine.Result{
+		Trace:       trace,
+		Activations: st.Activations,
+		Events:      st.Events(),
+		FinalTimeNs: int64(st.FinalTime),
+		WallNs:      time.Since(begin).Nanoseconds(),
+	}, nil
 }
 
 // AttachOptions configures Attach.

@@ -1,8 +1,10 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
+	"dyncomp/internal/engine"
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
@@ -32,15 +34,14 @@ func didacticDirect(n int, seed int64, u func(k int) maxplus.T) [][6]maxplus.T {
 
 func runDidactic(t *testing.T, spec zoo.DidacticSpec) *observe.Trace {
 	t.Helper()
-	trace := observe.NewTrace("baseline")
-	res, err := Run(zoo.Didactic(spec), Options{Trace: trace})
+	res, err := Run(context.Background(), zoo.Didactic(spec), engine.Options{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Activations == 0 {
+	if res.Activations == 0 {
 		t.Fatal("no activations recorded")
 	}
-	return trace
+	return res.Trace
 }
 
 // The core semantic test: the event-driven executor must reproduce the
@@ -152,11 +153,11 @@ func TestBaselineDeterministic(t *testing.T) {
 func TestBaselineChainRuns(t *testing.T) {
 	for _, stages := range []int{2, 3} {
 		a := zoo.DidacticChain(stages, zoo.DidacticSpec{Tokens: 100, Period: 1500, Seed: 2})
-		trace := observe.NewTrace("chain")
-		res, err := Run(a, Options{Trace: trace})
+		res, err := Run(context.Background(), a, engine.Options{Record: true})
 		if err != nil {
 			t.Fatalf("stages=%d: %v", stages, err)
 		}
+		trace := res.Trace
 		// The last stage's output must see all tokens.
 		lastOut := a.Sinks[0].Ch.Name
 		if got := len(trace.Instants(lastOut)); got != 100 {
@@ -171,7 +172,7 @@ func TestBaselineChainRuns(t *testing.T) {
 				}
 			}
 		}
-		if res.Stats.Activations == 0 {
+		if res.Activations == 0 {
 			t.Fatal("no activations")
 		}
 	}
@@ -181,10 +182,11 @@ func TestBaselineFIFOVariant(t *testing.T) {
 	const n = 120
 	spec := zoo.DidacticSpec{Tokens: n, Period: 300, Seed: 9, UseFIFO: true}
 	a := zoo.Didactic(spec)
-	trace := observe.NewTrace("fifo")
-	if _, err := Run(a, Options{Trace: trace}); err != nil {
+	res, err := Run(context.Background(), a, engine.Options{Record: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	trace := res.Trace
 	// Each channel records both write and read instants.
 	for _, ch := range []string{"M1", "M6"} {
 		w := trace.Instants(ch + ".w")
@@ -208,10 +210,11 @@ func TestBaselineFIFOVariant(t *testing.T) {
 
 func TestBaselinePipelineThroughput(t *testing.T) {
 	a := zoo.Pipeline(zoo.PipelineSpec{XSize: 6, Tokens: 80, Period: 0, Seed: 4})
-	trace := observe.NewTrace("pipe")
-	if _, err := Run(a, Options{Trace: trace}); err != nil {
+	res, err := Run(context.Background(), a, engine.Options{Record: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	trace := res.Trace
 	if got := len(trace.Instants("C5")); got != 80 {
 		t.Fatalf("%d tokens through C5, want 80", got)
 	}
@@ -219,13 +222,13 @@ func TestBaselinePipelineThroughput(t *testing.T) {
 
 func TestBaselineTimeLimit(t *testing.T) {
 	a := zoo.Didactic(zoo.DidacticSpec{Tokens: 1000, Period: 1000, Seed: 1})
-	trace := observe.NewTrace("limited")
-	res, err := Run(a, Options{Trace: trace, Limit: 50_000})
+	res, err := Run(context.Background(), a, engine.Options{Record: true, LimitNs: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.FinalTime != 50_000 {
-		t.Fatalf("final time %d, want 50000", res.Stats.FinalTime)
+	trace := res.Trace
+	if res.FinalTimeNs != 50_000 {
+		t.Fatalf("final time %d, want 50000", res.FinalTimeNs)
 	}
 	if n := len(trace.Instants("M1")); n >= 1000 || n == 0 {
 		t.Fatalf("M1 transfers = %d, expected partial progress", n)
@@ -235,7 +238,7 @@ func TestBaselineTimeLimit(t *testing.T) {
 func TestBaselineRejectsInvalidArchitecture(t *testing.T) {
 	a := model.NewArchitecture("broken")
 	a.AddChannel("M", model.Rendezvous, 0)
-	if _, err := Run(a, Options{}); err == nil {
+	if _, err := Run(context.Background(), a, engine.Options{}); err == nil {
 		t.Fatal("expected validation error")
 	}
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"testing"
 
 	"dyncomp/internal/baseline"
 	"dyncomp/internal/derive"
+	uni "dyncomp/internal/engine"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
 	"dyncomp/internal/zoo"
@@ -13,10 +15,9 @@ import (
 
 // runBoth executes the reference executor and the equivalent model on the
 // same architecture and returns both traces and results.
-func runBoth(t *testing.T, a *model.Architecture) (*baseline.Result, *Result) {
+func runBoth(t *testing.T, a *model.Architecture) (*uni.Result, *Result) {
 	t.Helper()
-	bt := observe.NewTrace("baseline")
-	bres, err := baseline.Run(a, baseline.Options{Trace: bt})
+	bres, err := baseline.Run(context.Background(), a, uni.Options{Record: true})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -38,14 +39,14 @@ func runBoth(t *testing.T, a *model.Architecture) (*baseline.Result, *Result) {
 
 // assertExact checks the paper's headline accuracy claim: every evolution
 // instant of the equivalent model equals the reference executor's.
-func assertExact(t *testing.T, bres *baseline.Result, eres *Result) {
+func assertExact(t *testing.T, bres *uni.Result, eres *Result) {
 	t.Helper()
 	if err := observe.CompareInstants(bres.Trace, eres.Trace); err != nil {
 		t.Fatalf("accuracy violated: %v", err)
 	}
 }
 
-func assertActivitiesEqual(t *testing.T, bres *baseline.Result, eres *Result) {
+func assertActivitiesEqual(t *testing.T, bres *uni.Result, eres *Result) {
 	t.Helper()
 	br, er := bres.Trace, eres.Trace
 	resources := br.Resources()
@@ -127,10 +128,10 @@ func TestEquivalentModelIsExactPipeline(t *testing.T) {
 func TestEquivalentModelSavesEvents(t *testing.T) {
 	a := zoo.Didactic(zoo.DidacticSpec{Tokens: 1000, Period: 1000, Seed: 1})
 	bres, eres := runBoth(t, a)
-	ratio := float64(bres.Stats.Activations) / float64(eres.Stats.Activations)
+	ratio := float64(bres.Activations) / float64(eres.Stats.Activations)
 	if ratio < 1.5 {
 		t.Fatalf("activation ratio = %.2f (baseline %d, equivalent %d); expected a clear saving",
-			ratio, bres.Stats.Activations, eres.Stats.Activations)
+			ratio, bres.Activations, eres.Stats.Activations)
 	}
 	if eres.Iterations != 1000 {
 		t.Fatalf("iterations = %d", eres.Iterations)
@@ -143,8 +144,7 @@ func TestEventRatioGrowsWithChainLength(t *testing.T) {
 	var prev float64
 	for _, stages := range []int{1, 2, 3, 4} {
 		a := zoo.DidacticChain(stages, zoo.DidacticSpec{Tokens: 300, Period: 1200, Seed: 3})
-		bt := observe.NewTrace("b")
-		bres, err := baseline.Run(a, baseline.Options{Trace: bt})
+		bres, err := baseline.Run(context.Background(), a, uni.Options{Record: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestEventRatioGrowsWithChainLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ratio := float64(bres.Stats.Activations) / float64(eres.Stats.Activations)
+		ratio := float64(bres.Activations) / float64(eres.Stats.Activations)
 		if ratio <= prev {
 			t.Fatalf("stages=%d: ratio %.2f did not grow (prev %.2f)", stages, ratio, prev)
 		}
@@ -194,10 +194,11 @@ func TestEquivalentModelNoTrace(t *testing.T) {
 // Padding the graph must not change any instant (only the compute cost).
 func TestPaddedGraphStillExact(t *testing.T) {
 	a := zoo.Didactic(zoo.DidacticSpec{Tokens: 200, Period: 800, Seed: 4})
-	bt := observe.NewTrace("b")
-	if _, err := baseline.Run(a, baseline.Options{Trace: bt}); err != nil {
+	bres, err := baseline.Run(context.Background(), a, uni.Options{Record: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	bt := bres.Trace
 	dres, err := derive.Derive(a, derive.Options{PadNodes: 200})
 	if err != nil {
 		t.Fatal(err)

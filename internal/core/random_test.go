@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"dyncomp/internal/baseline"
 	"dyncomp/internal/derive"
+	uni "dyncomp/internal/engine"
 	"dyncomp/internal/observe"
 	"dyncomp/internal/zoo"
 )
@@ -22,10 +24,11 @@ func TestRandomArchitecturesExact(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		spec := zoo.RandomSpec{Seed: int64(seed), Tokens: 60}
 
-		bt := observe.NewTrace("baseline")
-		if _, err := baseline.Run(zoo.Random(spec), baseline.Options{Trace: bt}); err != nil {
+		bres, err := baseline.Run(context.Background(), zoo.Random(spec), uni.Options{Record: true})
+		if err != nil {
 			t.Fatalf("seed %d baseline: %v", seed, err)
 		}
+		bt := bres.Trace
 
 		for _, reduce := range []bool{false, true} {
 			dres, err := derive.Derive(zoo.Random(spec), derive.Options{Reduce: reduce})
@@ -56,10 +59,11 @@ func TestRandomArchitecturesActivitiesExact(t *testing.T) {
 	}
 	for seed := 0; seed < seeds; seed++ {
 		spec := zoo.RandomSpec{Seed: int64(seed) + 1000, Tokens: 40}
-		bt := observe.NewTrace("baseline")
-		if _, err := baseline.Run(zoo.Random(spec), baseline.Options{Trace: bt}); err != nil {
+		bres, err := baseline.Run(context.Background(), zoo.Random(spec), uni.Options{Record: true})
+		if err != nil {
 			t.Fatalf("seed %d baseline: %v", seed, err)
 		}
+		bt := bres.Trace
 		dres, err := derive.Derive(zoo.Random(spec), derive.Options{})
 		if err != nil {
 			t.Fatalf("seed %d derive: %v", seed, err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"dyncomp/internal/derive"
 	uni "dyncomp/internal/engine"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
@@ -24,13 +23,7 @@ func (eqEngine) Run(ctx context.Context, a *model.Architecture, opts uni.Options
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var dres *derive.Result
-	var err error
-	if opts.Cache != nil {
-		dres, err = opts.Cache.Derive(a, opts.Derive)
-	} else {
-		dres, err = derive.Derive(a, opts.Derive)
-	}
+	dres, err := opts.Cache.Derive(a, opts.Derive)
 	if err != nil {
 		return nil, err
 	}
@@ -77,13 +70,7 @@ func (eqEngine) RunBatch(ctx context.Context, archs []*model.Architecture, opts 
 	if len(archs) == 0 {
 		return nil, nil, fmt.Errorf("core: RunBatch with no architectures")
 	}
-	var lanes []*derive.Result
-	var err error
-	if opts.Cache != nil {
-		lanes, err = opts.Cache.DeriveBatch(archs, opts.Derive)
-	} else {
-		lanes, err = derive.DeriveBatch(archs, opts.Derive)
-	}
+	lanes, err := opts.Cache.DeriveBatch(archs, opts.Derive)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -60,8 +60,12 @@ func DeriveBatch(archs []*model.Architecture, opts Options) ([]*Result, error) {
 // error, not a partial result, so callers can fall back to per-point
 // derivation wholesale. The request counts as len(archs) cache requests:
 // one miss plus len(archs)-1 hits when the template is fresh, len(archs)
-// hits otherwise.
+// hits otherwise. A nil cache derives privately, exactly as the
+// package-level DeriveBatch.
 func (c *Cache) DeriveBatch(archs []*model.Architecture, opts Options) ([]*Result, error) {
+	if c == nil {
+		return DeriveBatch(archs, opts)
+	}
 	if len(archs) == 0 {
 		return nil, fmt.Errorf("derive: DeriveBatch with no architectures")
 	}

@@ -81,8 +81,12 @@ func (c *Cache) Limit() int {
 // the cache holds no template for a's structural shape under the given
 // options. The returned Result is freshly bound (its graph weights,
 // probes and boundary bindings reference a), so each caller may run it
-// independently of every other point sharing the template.
+// independently of every other point sharing the template. A nil cache
+// derives privately, exactly as the package-level Derive.
 func (c *Cache) Derive(a *model.Architecture, opts Options) (*Result, error) {
+	if c == nil {
+		return Derive(a, opts)
+	}
 	key, err := ShapeKey(a)
 	if err != nil {
 		return nil, err

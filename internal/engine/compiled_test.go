@@ -87,11 +87,11 @@ func TestCompiledAdaptiveHotSwitchResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
-	trace := observe.NewTrace("phased/adaptive")
-	res, err := adaptive.Run(sc.Build(params), adaptive.Options{Trace: trace, Window: 4})
+	res, err := adaptive.Run(context.Background(), sc.Build(params), engine.Options{Record: true, WindowK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	trace := res.Trace
 	if res.Switches == 0 || res.Fallbacks == 0 {
 		t.Fatalf("workload did not exercise hot switching: %d switches, %d fallbacks", res.Switches, res.Fallbacks)
 	}

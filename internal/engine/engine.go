@@ -107,8 +107,17 @@ type Result struct {
 	Phases []Phase
 }
 
+// Phase modes.
+const (
+	// ModeDetailed is event-by-event execution on the simulation kernel.
+	ModeDetailed = "detailed"
+	// ModeAbstract is dynamic computation over the temporal dependency
+	// graph.
+	ModeAbstract = "abstract"
+)
+
 // Phase is one maximal span of iterations an engine executed in a
-// single mode ("detailed" or "abstract").
+// single mode (ModeDetailed or ModeAbstract).
 type Phase struct {
 	Mode         string
 	StartK, EndK int   // iteration span [StartK, EndK)

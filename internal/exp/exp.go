@@ -30,18 +30,17 @@ import (
 
 // Measurement is one timed simulation run.
 type Measurement struct {
-	Wall  time.Duration
-	Stats sim.Stats
+	Wall        time.Duration
+	Activations int64 // kernel context switches
 }
 
 // runBaseline times one reference-executor run without tracing.
 func runBaseline(a *model.Architecture) (Measurement, error) {
-	start := time.Now()
-	res, err := baseline.Run(a, baseline.Options{})
+	res, err := baseline.Run(context.Background(), a, engine.Options{})
 	if err != nil {
 		return Measurement{}, err
 	}
-	return Measurement{Wall: time.Since(start), Stats: res.Stats}, nil
+	return Measurement{Wall: time.Duration(res.WallNs), Activations: res.Activations}, nil
 }
 
 // runEquivalent derives the graph (outside the timed section, as the
@@ -61,7 +60,7 @@ func runEquivalent(a *model.Architecture, opts derive.Options) (Measurement, int
 	if err != nil {
 		return Measurement{}, 0, err
 	}
-	return Measurement{Wall: time.Since(start), Stats: res.Stats}, dres.Graph.NodeCountWithDelays(), nil
+	return Measurement{Wall: time.Since(start), Activations: res.Stats.Activations}, dres.Graph.NodeCountWithDelays(), nil
 }
 
 // Table1Row is one row of the paper's Table I.
@@ -388,7 +387,7 @@ func CaseStudy(symbols int, w io.Writer) (*CaseStudyResult, error) {
 	}
 	res := &CaseStudyResult{
 		Symbols:    symbols,
-		EventRatio: float64(mb.Stats.Activations) / float64(me.Stats.Activations),
+		EventRatio: float64(mb.Activations) / float64(me.Activations),
 		SpeedUp:    mb.Wall.Seconds() / me.Wall.Seconds(),
 		Nodes:      nodes,
 	}
@@ -451,12 +450,11 @@ func QuantumSweep(tokens int, quanta []sim.Time, w io.Writer) ([]QuantumRow, err
 		quanta = []sim.Time{1_000, 10_000, 100_000, 1_000_000}
 	}
 	spec := zoo.DidacticSpec{Tokens: tokens, Period: 900, Seed: 31}
-	bt := observe.NewTrace("baseline")
-	start := time.Now()
-	if _, err := baseline.Run(zoo.Didactic(spec), baseline.Options{Trace: bt}); err != nil {
+	bres, err := baseline.Run(context.Background(), zoo.Didactic(spec), engine.Options{Record: true})
+	if err != nil {
 		return nil, err
 	}
-	baseWall := time.Since(start)
+	bt, baseWall := bres.Trace, time.Duration(bres.WallNs)
 
 	var rows []QuantumRow
 	if w != nil {
@@ -491,7 +489,7 @@ func QuantumSweep(tokens int, quanta []sim.Time, w io.Writer) ([]QuantumRow, err
 		return nil, err
 	}
 	et := observe.NewTrace("equivalent")
-	start = time.Now()
+	start := time.Now()
 	if _, err := m.Run(core.Options{Trace: et}); err != nil {
 		return nil, err
 	}

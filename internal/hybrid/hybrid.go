@@ -25,55 +25,49 @@
 package hybrid
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"dyncomp/internal/baseline"
 	"dyncomp/internal/chanrt"
 	"dyncomp/internal/derive"
+	uni "dyncomp/internal/engine"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
 	"dyncomp/internal/sim"
 )
 
-// Options configures a hybrid run.
-type Options struct {
-	// Group names the functions to abstract into the equivalent model.
-	Group []string
-	// Trace records evolution instants and resource activity of both the
-	// simulated and the abstracted parts, comparable bit-exact with a full
-	// reference run.
-	Trace *observe.Trace
-	// Limit bounds simulation time; zero runs to completion.
-	Limit sim.Time
-	// IterLimit, when positive, bounds the evolution to iterations
-	// [0, IterLimit): every source stops after token IterLimit-1.
-	IterLimit int
-	// Derive sets the derivation options (arc reduction, pad nodes) for
-	// the group's graph.
-	Derive derive.Options
-	// Reduce prunes value-redundant arcs from the group's graph; it is
-	// the pre-Derive spelling of Derive.Reduce and ORs into it.
-	Reduce bool
-	// Cache supplies a shared structure-keyed derivation cache for the
-	// group's graph (e.g. from a design-space sweep); nil derives
-	// privately.
-	Cache *derive.Cache
+// hybEngine registers partial abstraction under the uniform engine
+// contract.
+type hybEngine struct{}
+
+func (hybEngine) Name() string { return "hybrid" }
+
+func (hybEngine) Run(ctx context.Context, a *model.Architecture, opts uni.Options) (*uni.Result, error) {
+	return Run(ctx, a, opts)
 }
 
-// Result reports a completed hybrid run.
-type Result struct {
-	Stats      sim.Stats
-	Trace      *observe.Trace
-	Iterations int
-	GraphNodes int // abstracted group's graph size (paper counting)
-}
+func init() { uni.Register(hybEngine{}) }
 
-// Run simulates the architecture with the named group abstracted.
-func Run(a *model.Architecture, opts Options) (*Result, error) {
+// Run simulates the architecture with the functions named by
+// opts.AbstractGroup abstracted into an equivalent model; the rest of the
+// architecture runs event-by-event. It is the one engine that requires
+// AbstractGroup. The group's graph is derived through opts.Cache (nil
+// derives privately) with opts.Derive, inside the timed section.
+func Run(ctx context.Context, a *model.Architecture, opts uni.Options) (*uni.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var trace *observe.Trace
+	if opts.Record {
+		trace = observe.NewTrace(a.Name + "/hybrid")
+	}
+	begin := time.Now()
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	group, err := resolveGroup(a, opts.Group)
+	group, err := resolveGroup(a, opts.AbstractGroup)
 	if err != nil {
 		return nil, err
 	}
@@ -88,16 +82,7 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dopts := opts.Derive
-	if opts.Reduce {
-		dopts.Reduce = true
-	}
-	var dres *derive.Result
-	if opts.Cache != nil {
-		dres, err = opts.Cache.Derive(sub.arch, dopts)
-	} else {
-		dres, err = derive.Derive(sub.arch, dopts)
-	}
+	dres, err := opts.Cache.Derive(sub.arch, opts.Derive)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +90,7 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	limit := opts.Limit
+	limit := sim.Time(opts.LimitNs)
 	if limit <= 0 {
 		limit = sim.Forever
 	}
@@ -116,15 +101,15 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 	// instants.
 	boundary := map[*model.Channel]chanrt.RT{}
 	for _, ch := range sub.inOrig {
-		boundary[ch] = chanrt.New(kern, ch, opts.Trace)
+		boundary[ch] = chanrt.New(kern, ch, trace)
 	}
 	outOrig := sub.outOrig[0]
-	boundary[outOrig] = chanrt.New(kern, outOrig, opts.Trace)
+	boundary[outOrig] = chanrt.New(kern, outOrig, trace)
 
 	inGroup := func(f *model.Function) bool { return group[f] }
 	internal := func(ch *model.Channel) bool { return sub.internal[ch] }
 	if _, err := baseline.Attach(kern, a, baseline.AttachOptions{
-		Trace:       opts.Trace,
+		Trace:       trace,
 		Skip:        inGroup,
 		SkipChannel: internal,
 		Chans:       boundary,
@@ -133,23 +118,31 @@ func Run(a *model.Architecture, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	eng := newEngine(a, sub, dres, kern, opts.Trace, iters)
+	eng := newEngine(a, sub, dres, kern, trace, iters)
 	eng.build(boundary)
 
 	if err := kern.Run(limit); err != nil {
 		return nil, err
 	}
-	return &Result{
-		Stats:      kern.Stats(),
-		Trace:      opts.Trace,
-		Iterations: eng.nodeDone[eng.outNode],
-		GraphNodes: dres.Graph.NodeCountWithDelays(),
+	done := eng.nodeDone[eng.outNode]
+	if opts.Progress != nil {
+		opts.Progress(done, done)
+	}
+	st := kern.Stats()
+	return &uni.Result{
+		Trace:       trace,
+		Activations: st.Activations,
+		Events:      st.Events(),
+		FinalTimeNs: int64(st.FinalTime),
+		WallNs:      time.Since(begin).Nanoseconds(),
+		Iterations:  done,
+		GraphNodes:  dres.Graph.NodeCountWithDelays(),
 	}, nil
 }
 
 func resolveGroup(a *model.Architecture, names []string) (map[*model.Function]bool, error) {
 	if len(names) == 0 {
-		return nil, fmt.Errorf("hybrid: empty group")
+		return nil, fmt.Errorf("hybrid: empty group (Options.AbstractGroup names the functions to abstract)")
 	}
 	byName := map[string]*model.Function{}
 	for _, f := range a.Functions {

@@ -1,11 +1,14 @@
 package hybrid
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
 
 	"dyncomp/internal/baseline"
+	"dyncomp/internal/derive"
+	uni "dyncomp/internal/engine"
 	"dyncomp/internal/lte"
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
@@ -16,11 +19,11 @@ import (
 // runFull produces the full event-driven reference trace.
 func runFull(t *testing.T, a *model.Architecture) *observe.Trace {
 	t.Helper()
-	tr := observe.NewTrace("full")
-	if _, err := baseline.Run(a, baseline.Options{Trace: tr}); err != nil {
+	res, err := baseline.Run(context.Background(), a, uni.Options{Record: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return res.Trace
 }
 
 func assertSameActivities(t *testing.T, full, hyb *observe.Trace) {
@@ -60,11 +63,11 @@ func TestHybridDidacticP2Group(t *testing.T) {
 	for _, period := range []int64{0, 300, 2000} {
 		spec := zoo.DidacticSpec{Tokens: 300, Period: maxplus.T(period), Seed: 7}
 		full := runFull(t, zoo.Didactic(spec))
-		ht := observe.NewTrace("hybrid")
-		res, err := Run(zoo.Didactic(spec), Options{Group: []string{"F3", "F4"}, Trace: ht})
+		res, err := Run(context.Background(), zoo.Didactic(spec), uni.Options{AbstractGroup: []string{"F3", "F4"}, Record: true})
 		if err != nil {
 			t.Fatalf("period %d: %v", period, err)
 		}
+		ht := res.Trace
 		if err := observe.CompareInstants(full, ht); err != nil {
 			t.Fatalf("period %d: accuracy violated: %v", period, err)
 		}
@@ -80,11 +83,11 @@ func TestHybridDidacticP2Group(t *testing.T) {
 func TestHybridFullGroup(t *testing.T) {
 	spec := zoo.DidacticSpec{Tokens: 200, Period: 900, Seed: 3}
 	full := runFull(t, zoo.Didactic(spec))
-	ht := observe.NewTrace("hybrid")
-	res, err := Run(zoo.Didactic(spec), Options{Group: []string{"F1", "F2", "F3", "F4"}, Trace: ht})
+	res, err := Run(context.Background(), zoo.Didactic(spec), uni.Options{AbstractGroup: []string{"F1", "F2", "F3", "F4"}, Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ht := res.Trace
 	if err := observe.CompareInstants(full, ht); err != nil {
 		t.Fatalf("accuracy violated: %v", err)
 	}
@@ -101,10 +104,11 @@ func TestHybridChainStage(t *testing.T) {
 	spec := zoo.DidacticSpec{Tokens: 250, Period: 600, Seed: 11} // backpressured
 	group := []string{"F1", "F2", "F3", "F4"}                    // first stage only
 	full := runFull(t, zoo.DidacticChain(3, spec))
-	ht := observe.NewTrace("hybrid")
-	if _, err := Run(zoo.DidacticChain(3, spec), Options{Group: group, Trace: ht}); err != nil {
+	res, err := Run(context.Background(), zoo.DidacticChain(3, spec), uni.Options{AbstractGroup: group, Record: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	ht := res.Trace
 	if err := observe.CompareInstants(full, ht); err != nil {
 		t.Fatalf("accuracy violated: %v", err)
 	}
@@ -116,10 +120,11 @@ func TestHybridChainMiddleStage(t *testing.T) {
 	spec := zoo.DidacticSpec{Tokens: 200, Period: 700, Seed: 13}
 	group := []string{"F1_2", "F2_2", "F3_2", "F4_2"}
 	full := runFull(t, zoo.DidacticChain(3, spec))
-	ht := observe.NewTrace("hybrid")
-	if _, err := Run(zoo.DidacticChain(3, spec), Options{Group: group, Trace: ht}); err != nil {
+	res, err := Run(context.Background(), zoo.DidacticChain(3, spec), uni.Options{AbstractGroup: group, Record: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	ht := res.Trace
 	if err := observe.CompareInstants(full, ht); err != nil {
 		t.Fatalf("accuracy violated: %v", err)
 	}
@@ -139,11 +144,11 @@ func TestHybridLTEDSPGroup(t *testing.T) {
 	}{{4, 9}, {20, 23}, {30, 5}} {
 		symbols := tc.frames * lte.SymbolsPerFrame
 		full := runFull(t, lte.Receiver(lte.Spec{Symbols: symbols, Seed: tc.seed}))
-		ht := observe.NewTrace("hybrid")
-		res, err := Run(lte.Receiver(lte.Spec{Symbols: symbols, Seed: tc.seed}), Options{Group: group, Trace: ht})
+		res, err := Run(context.Background(), lte.Receiver(lte.Spec{Symbols: symbols, Seed: tc.seed}), uni.Options{AbstractGroup: group, Record: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		ht := res.Trace
 		if err := observe.CompareInstants(full, ht); err != nil {
 			t.Fatalf("frames=%d seed=%d: accuracy violated: %v", tc.frames, tc.seed, err)
 		}
@@ -158,10 +163,11 @@ func TestHybridLTEDSPGroup(t *testing.T) {
 func TestHybridLTEDecoderGroup(t *testing.T) {
 	symbols := 3 * lte.SymbolsPerFrame
 	full := runFull(t, lte.Receiver(lte.Spec{Symbols: symbols, Seed: 4}))
-	ht := observe.NewTrace("hybrid")
-	if _, err := Run(lte.Receiver(lte.Spec{Symbols: symbols, Seed: 4}), Options{Group: []string{"ChannelDecoder"}, Trace: ht}); err != nil {
+	res, err := Run(context.Background(), lte.Receiver(lte.Spec{Symbols: symbols, Seed: 4}), uni.Options{AbstractGroup: []string{"ChannelDecoder"}, Record: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	ht := res.Trace
 	if err := observe.CompareInstants(full, ht); err != nil {
 		t.Fatalf("accuracy violated: %v", err)
 	}
@@ -172,10 +178,11 @@ func TestHybridLTEDecoderGroup(t *testing.T) {
 func TestHybridReduced(t *testing.T) {
 	spec := zoo.DidacticSpec{Tokens: 150, Period: 500, Seed: 21}
 	full := runFull(t, zoo.Didactic(spec))
-	ht := observe.NewTrace("hybrid")
-	if _, err := Run(zoo.Didactic(spec), Options{Group: []string{"F3", "F4"}, Trace: ht, Reduce: true}); err != nil {
+	res, err := Run(context.Background(), zoo.Didactic(spec), uni.Options{AbstractGroup: []string{"F3", "F4"}, Record: true, Derive: derive.Options{Reduce: true}})
+	if err != nil {
 		t.Fatal(err)
 	}
+	ht := res.Trace
 	if err := observe.CompareInstants(full, ht); err != nil {
 		t.Fatalf("accuracy violated: %v", err)
 	}
@@ -186,16 +193,16 @@ func TestHybridReduced(t *testing.T) {
 // LTE DSP cluster with 7 functions is the paper-style win).
 func TestHybridSavesEvents(t *testing.T) {
 	symbols := 10 * lte.SymbolsPerFrame
-	fres, err := baseline.Run(lte.Receiver(lte.Spec{Symbols: symbols, Seed: 2}), baseline.Options{})
+	fres, err := baseline.Run(context.Background(), lte.Receiver(lte.Spec{Symbols: symbols, Seed: 2}), uni.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hres, err := Run(lte.Receiver(lte.Spec{Symbols: symbols, Seed: 2}), Options{Group: lte.FunctionNames[:7]})
+	hres, err := Run(context.Background(), lte.Receiver(lte.Spec{Symbols: symbols, Seed: 2}), uni.Options{AbstractGroup: lte.FunctionNames[:7]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hres.Stats.Activations >= fres.Stats.Activations {
-		t.Fatalf("no saving: hybrid %d vs full %d", hres.Stats.Activations, fres.Stats.Activations)
+	if hres.Activations >= fres.Activations {
+		t.Fatalf("no saving: hybrid %d vs full %d", hres.Activations, fres.Activations)
 	}
 }
 
@@ -212,7 +219,7 @@ func TestHybridErrors(t *testing.T) {
 		{"two-outputs", []string{"F1", "F2"}, "output channels"},
 	}
 	for _, tc := range cases {
-		_, err := Run(zoo.Didactic(spec), Options{Group: tc.group})
+		_, err := Run(context.Background(), zoo.Didactic(spec), uni.Options{AbstractGroup: tc.group})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
@@ -222,7 +229,7 @@ func TestHybridErrors(t *testing.T) {
 func TestHybridRejectsInvalidArchitecture(t *testing.T) {
 	a := model.NewArchitecture("broken")
 	a.AddChannel("M", model.Rendezvous, 0)
-	if _, err := Run(a, Options{Group: []string{"F"}}); err == nil {
+	if _, err := Run(context.Background(), a, uni.Options{AbstractGroup: []string{"F"}}); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -245,10 +252,11 @@ func TestHybridRandomizedChains(t *testing.T) {
 		spec := zoo.DidacticSpec{Tokens: 120, Period: period, Seed: seed}
 		full := runFull(t, zoo.DidacticChain(3, spec))
 		stage := int(seed) % 3
-		ht := observe.NewTrace("hybrid")
-		if _, err := Run(zoo.DidacticChain(3, spec), Options{Group: stageNames(stage), Trace: ht}); err != nil {
+		res, err := Run(context.Background(), zoo.DidacticChain(3, spec), uni.Options{AbstractGroup: stageNames(stage), Record: true})
+		if err != nil {
 			t.Fatalf("seed %d stage %d: %v", seed, stage, err)
 		}
+		ht := res.Trace
 		if err := observe.CompareInstants(full, ht); err != nil {
 			t.Fatalf("seed %d stage %d: accuracy violated: %v", seed, stage, err)
 		}

@@ -1,9 +1,11 @@
 package ltdecoup
 
 import (
+	"context"
 	"testing"
 
 	"dyncomp/internal/baseline"
+	"dyncomp/internal/engine"
 	"dyncomp/internal/observe"
 	"dyncomp/internal/sim"
 	"dyncomp/internal/zoo"
@@ -11,11 +13,11 @@ import (
 
 func TestQuantumTradeoff(t *testing.T) {
 	spec := zoo.DidacticSpec{Tokens: 400, Period: 900, Seed: 6}
-	bt := observe.NewTrace("baseline")
-	bres, err := baseline.Run(zoo.Didactic(spec), baseline.Options{Trace: bt})
+	bres, err := baseline.Run(context.Background(), zoo.Didactic(spec), engine.Options{Record: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bt := bres.Trace
 
 	type point struct {
 		quantum int64
@@ -46,9 +48,9 @@ func TestQuantumTradeoff(t *testing.T) {
 	if pts[len(pts)-1].err <= pts[0].err {
 		t.Fatalf("error did not grow with quantum: %+v", pts)
 	}
-	if pts[len(pts)-1].acts >= bres.Stats.Activations {
+	if pts[len(pts)-1].acts >= bres.Activations {
 		t.Fatalf("large quantum saved no events: %d vs baseline %d",
-			pts[len(pts)-1].acts, bres.Stats.Activations)
+			pts[len(pts)-1].acts, bres.Activations)
 	}
 	if pts[0].err == 0 {
 		// Even small quanta lose the rendezvous backpressure; with a

@@ -1,11 +1,13 @@
 package lte
 
 import (
+	"context"
 	"testing"
 
 	"dyncomp/internal/baseline"
 	"dyncomp/internal/core"
 	"dyncomp/internal/derive"
+	"dyncomp/internal/engine"
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
 	"dyncomp/internal/observe"
@@ -118,10 +120,11 @@ func TestCalibration(t *testing.T) {
 // architecture model").
 func TestLTEEquivalentModelExact(t *testing.T) {
 	a := Receiver(Spec{Symbols: 6 * SymbolsPerFrame, Seed: 9})
-	bt := observe.NewTrace("baseline")
-	if _, err := baseline.Run(a, baseline.Options{Trace: bt}); err != nil {
+	bres, err := baseline.Run(context.Background(), a, engine.Options{Record: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	bt := bres.Trace
 	dres, err := derive.Derive(a, derive.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -164,10 +167,11 @@ func TestLTEGraphSize(t *testing.T) {
 // Reduction must not change any instant of the LTE model.
 func TestLTEReducedStillExact(t *testing.T) {
 	a := Receiver(Spec{Symbols: 3 * SymbolsPerFrame, Seed: 13})
-	bt := observe.NewTrace("baseline")
-	if _, err := baseline.Run(a, baseline.Options{Trace: bt}); err != nil {
+	bres, err := baseline.Run(context.Background(), a, engine.Options{Record: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	bt := bres.Trace
 	dres, err := derive.Derive(a, derive.Options{Reduce: true})
 	if err != nil {
 		t.Fatal(err)
@@ -189,10 +193,11 @@ func TestLTEReducedStillExact(t *testing.T) {
 // speed while busy (the ~150 GOPS plateaus of Fig. 6c).
 func TestLTEComplexityLevels(t *testing.T) {
 	a := Receiver(Spec{Symbols: 2 * SymbolsPerFrame, Seed: 4})
-	bt := observe.NewTrace("b")
-	if _, err := baseline.Run(a, baseline.Options{Trace: bt}); err != nil {
+	bres, err := baseline.Run(context.Background(), a, engine.Options{Record: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	bt := bres.Trace
 	end := bt.EndTime()
 	hw, err := bt.ComplexitySeries("HW", 0, end, maxplus.T(1000))
 	if err != nil {

@@ -1,12 +1,14 @@
 package zoo_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"dyncomp/internal/baseline"
 	"dyncomp/internal/core"
 	"dyncomp/internal/derive"
+	"dyncomp/internal/engine"
 	"dyncomp/internal/hybrid"
 	"dyncomp/internal/observe"
 	"dyncomp/internal/zoo"
@@ -110,10 +112,11 @@ func TestForkJoin(t *testing.T) {
 		t.Fatalf("functions = %d, want %d", got, want)
 	}
 
-	bt := observe.NewTrace("ref")
-	if _, err := baseline.Run(zoo.ForkJoin(spec), baseline.Options{Trace: bt}); err != nil {
+	bres, err := baseline.Run(context.Background(), zoo.ForkJoin(spec), engine.Options{Record: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	bt := bres.Trace
 	// Every worker must have executed once per token on its own resource.
 	for i := 1; i <= spec.Workers; i++ {
 		acts := bt.Activities(fmt.Sprintf("Pw%d", i))
@@ -143,10 +146,11 @@ func TestForkJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	group := sc.HybridGroup(zoo.ParamMap{"workers": int64(spec.Workers)})
-	ht := observe.NewTrace("hyb")
-	if _, err := hybrid.Run(zoo.ForkJoin(spec), hybrid.Options{Group: group, Trace: ht}); err != nil {
+	hres, err := hybrid.Run(context.Background(), zoo.ForkJoin(spec), engine.Options{AbstractGroup: group, Record: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	ht := hres.Trace
 	if err := observe.CompareInstants(bt, ht); err != nil {
 		t.Fatalf("fork-join hybrid group not bit-exact: %v", err)
 	}
