@@ -1,24 +1,27 @@
-// Package adaptive is the temporal-abstraction engine: it decides
-// *online*, while a model runs, which execution engine simulates each
-// span of iterations.
+// Package adaptive is the temporal-abstraction engine: it decides which
+// execution engine simulates each span of iterations of a run.
 //
 // A run starts event-by-event on the discrete-event kernel (the detailed
-// mode) and watches the evolution for a confirmed steady state: an
-// unchanged parameter signature — every data-dependent execution duration
-// and every source-schedule increment — confirmed by an online detector,
-// either a fixed window of iterations (Options.WindowK) or, by default,
-// a confidence-driven estimator that fires as early as the evidence
-// allows (see detector.go). Once confirmed, the steady region is
-// hot-switched to the
-// equivalent (max,+) model: a temporal-dependency-graph evaluator is
-// seeded with the live simulation state (the recorded instant history
-// supplies the graph's initial conditions) and computes all further
-// instants with zero kernel events. Whenever the parameter signature
-// changes — a reconfiguration of the modelled workload that invalidates
-// the steady assumption — the engine falls back to event-driven
-// execution, seeding the resumed kernel from the computed history, and
-// re-binds the graph through the structure-keyed derive cache on the next
-// steady window.
+// mode) until an online detector confirms a steady state: an unchanged
+// parameter signature — every data-dependent execution duration and
+// every source-schedule increment — over either a fixed window of
+// iterations (Options.WindowK) or, by default, as early as a
+// confidence-driven estimator allows (see detector.go). The steady
+// region is then hot-switched to the equivalent (max,+) model: a
+// temporal-dependency-graph evaluator is seeded with the live
+// simulation state (the recorded instant history supplies the graph's
+// initial conditions) and computes all further instants with zero
+// kernel events. Whenever the parameter signature changes — a
+// reconfiguration of the modelled workload that invalidates the steady
+// assumption — the engine falls back to event-driven execution, seeding
+// the resumed kernel from the computed history, and re-binds the graph
+// through the structure-keyed derive cache on the next steady phase.
+//
+// Signatures are pure functions of the model, so the detector never
+// needs the kernel: the run is planned first — every phase boundary
+// worked out from the signature stream — and then executed, one kernel
+// per detailed phase. Detailed work on a run that never switches is
+// therefore exactly the reference executor's.
 //
 // Both directions of the switch are exact, not approximate. The detailed
 // engine resumes at an arbitrary iteration boundary because every
@@ -39,6 +42,7 @@ package adaptive
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"dyncomp/internal/baseline"
@@ -52,9 +56,10 @@ import (
 )
 
 // DefaultWindow is the historical fixed-window width: the confirmation
-// window (and detailed chunk length) of the original detector. Pass it
-// as Options.WindowK to reproduce the pre-confidence behavior exactly;
-// a zero WindowK selects the confidence-driven detector.
+// window of the original detector, which is also the spacing of its
+// steady-state checks. Pass it as Options.WindowK to reproduce the
+// pre-confidence switch points exactly; a zero WindowK selects the
+// confidence-driven detector.
 const DefaultWindow = 8
 
 // adEngine registers temporal abstraction under the uniform engine
@@ -73,21 +78,23 @@ func init() { engine.Register(adEngine{}) }
 // evolution is bit-exact against the reference executor regardless of how
 // the run is partitioned into detailed and abstract phases.
 //
-// The adaptive-specific options: opts.WindowK, when positive, selects the
-// fixed-window detector — the number of consecutive iterations with an
-// identical parameter signature required before switching to the
-// abstract engine, which is also the detailed chunk length between
-// steady-state checks; zero selects the confidence-driven detector with
-// threshold opts.Confidence (zero: DefaultConfidence). The detector is a
-// policy either way — the recorded evolution is bit-exact at any
-// setting. opts.LimitNs truncates at iteration granularity: the run
-// stops after the first iteration whose instants exceed the limit.
-// Every switch to the abstract engine obtains its graph through
-// opts.Cache (nil: a private cache), so repeated steady windows re-bind
-// one template instead of re-deriving. The context is checked and
-// opts.Progress invoked at every phase boundary; the kernel itself is
-// uninterruptible, so a cancelled context aborts between phases, never
-// inside one.
+// The phases are planned before any simulation starts, from the
+// parameter-signature stream alone (see plan), and each detailed phase
+// then runs on one kernel. The adaptive-specific options:
+// opts.WindowK, when positive, selects the fixed-window detector — the
+// number of consecutive iterations with an identical parameter
+// signature required before switching to the abstract engine, checked
+// every WindowK iterations of a detailed phase; zero selects the
+// confidence-driven detector with threshold opts.Confidence (zero:
+// DefaultConfidence), checked every iteration. The detector is a policy
+// either way — the recorded evolution is bit-exact at any setting.
+// opts.LimitNs truncates at iteration granularity: the run stops after
+// the first iteration whose instants exceed the limit. Every switch to
+// the abstract engine obtains its graph through opts.Cache (nil: a
+// private cache), so repeated steady phases re-bind one template
+// instead of re-deriving. The context is checked and opts.Progress
+// invoked at every phase boundary; the kernel itself is uninterruptible,
+// so a cancelled context aborts between phases, never inside one.
 //
 // Result.WallNs covers the whole run: graph (re-)derivation through the
 // cache is part of how this engine executes, not a separate
@@ -105,106 +112,52 @@ func run(ctx context.Context, a *model.Architecture, opts engine.Options) (*engi
 		return nil, sim.Stats{}, err
 	}
 	begin := time.Now()
-	if err := a.Validate(); err != nil {
-		return nil, sim.Stats{}, err
-	}
-	det := newDetector(opts.WindowK, opts.Confidence)
-	cache := opts.Cache
-	if cache == nil {
-		cache = derive.NewCache()
-	}
-	dopts := opts.Derive
-	dres, err := cache.Derive(a, dopts)
+	r, err := newRunner(a, opts)
 	if err != nil {
 		return nil, sim.Stats{}, err
 	}
-	n, err := a.Iterations()
-	if err != nil {
-		return nil, sim.Stats{}, err
-	}
-	if opts.IterLimit > 0 && opts.IterLimit < n {
-		n = opts.IterLimit
-	}
-	// The engine records internally even without a requested trace (the
-	// history seeds every switch), so recording costs nothing extra.
-	rec := observe.NewTrace(a.Name + "/adaptive")
 	execs, err := a.Execs()
 	if err != nil {
 		return nil, sim.Stats{}, err
 	}
+	n := r.n
+	spans := plan(n, newDetector(opts.WindowK, opts.Confidence), sameSignature(a, execs, n))
 
-	r := &runner{
-		arch:  a,
-		limit: sim.Time(opts.LimitNs),
-		det:   det,
-		cache: cache,
-		dopts: dopts,
-		dres:  dres,
-		rec:   rec,
-		n:     n,
-		execs: execs,
-	}
-	if err := r.buildFloorPoints(); err != nil {
-		return nil, sim.Stats{}, err
-	}
-
-	res := &engine.Result{GraphNodes: dres.Graph.NodeCountWithDelays()}
+	res := &engine.Result{GraphNodes: r.dres.Graph.NodeCountWithDelays()}
 	if opts.Record {
-		res.Trace = rec
-	}
-	// phase closes a span at every phase boundary: record it, report
-	// progress, honor cancellation.
-	phase := func(ph engine.Phase, start time.Time, before sim.Stats) error {
-		ph.WallNs = time.Since(start).Nanoseconds()
-		ph.Events = r.total.Events() - before.Events()
-		ph.Activations = r.total.Activations - before.Activations
-		res.Phases = append(res.Phases, ph)
-		if opts.Progress != nil {
-			opts.Progress(ph.EndK, n)
-		}
-		return ctx.Err()
+		res.Trace = r.rec
 	}
 	k := 0
-	for k < n && !r.truncated {
-		// Detailed: event-by-event chunks until the detector confirms a
-		// steady state that still holds for the next iteration (the same
-		// signature check the abstract engine performs before every
-		// computed iteration). The chunk length between checks is the
-		// detector's own estimate of the earliest possible confirmation.
-		k0, start, before := k, time.Now(), r.total
-		for k < n && !r.truncated {
-			r.advanceDetector(k)
-			k1 := k + r.det.nextCheck()
-			if k1 > n {
-				k1 = n
-			}
-			k, err = r.runChunk(k, k1)
-			if err != nil {
-				return nil, sim.Stats{}, err
-			}
-			if r.switchable(k) {
-				break
-			}
+	for _, sp := range spans {
+		start, before := time.Now(), r.total
+		mode, exec := engine.ModeDetailed, r.runChunk
+		if sp.abstract {
+			res.Switches++
+			mode, exec = engine.ModeAbstract, r.runAbstract
 		}
-		if err := phase(engine.Phase{Mode: engine.ModeDetailed, StartK: k0, EndK: k}, start, before); err != nil {
+		if k, err = exec(sp.k0, sp.k1); err != nil {
 			return nil, sim.Stats{}, err
 		}
-		if k >= n || r.truncated {
+		// Close the phase: record it, report progress, honor
+		// cancellation.
+		res.Phases = append(res.Phases, engine.Phase{
+			Mode:        mode,
+			StartK:      sp.k0,
+			EndK:        k,
+			WallNs:      time.Since(start).Nanoseconds(),
+			Events:      r.total.Events() - before.Events(),
+			Activations: r.total.Activations - before.Activations,
+		})
+		if opts.Progress != nil {
+			opts.Progress(k, n)
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, sim.Stats{}, err
+		}
+		if r.truncated {
 			break
 		}
-
-		// Abstract: compute instants over the (re-bound) graph until the
-		// parameter signature deviates from the confirmed steady one.
-		res.Switches++
-		k0, start, before = k, time.Now(), r.total
-		k, err = r.runAbstract(k)
-		if err != nil {
-			return nil, sim.Stats{}, err
-		}
-		if err := phase(engine.Phase{Mode: engine.ModeAbstract, StartK: k0, EndK: k}, start, before); err != nil {
-			return nil, sim.Stats{}, err
-		}
-		if k < n && !r.truncated {
+		if sp.abstract && k < n {
 			res.Fallbacks++
 		}
 	}
@@ -227,16 +180,12 @@ func run(ctx context.Context, a *model.Architecture, opts engine.Options) (*engi
 type runner struct {
 	arch  *model.Architecture
 	limit sim.Time // simulated-time bound (0: none)
-	det   detector
 	cache *derive.Cache
 	dopts derive.Options
 	dres  *derive.Result
 	rec   *observe.Trace
 	n     int
 
-	execs    []*model.ExecInfo // controller-owned, for parameter signatures
-	sigs     [][]maxplus.T     // memoized signatures by iteration
-	sigIdx   int               // last signature index fed to the detector
 	floorPts []floorPoint
 
 	total     sim.Stats
@@ -244,70 +193,124 @@ type runner struct {
 	truncated bool
 }
 
-// sigAt returns the parameter signature of iteration k: every execution
-// duration plus every source-schedule increment. Two iterations with
-// equal signatures evolve under identical graph weights and input
-// spacing — the paper's notion of unchanged model parameters.
-func (r *runner) sigAt(k int) []maxplus.T {
-	for len(r.sigs) <= k {
-		r.sigs = append(r.sigs, nil)
+// newRunner validates the architecture, derives its graph through the
+// cache and resolves the resume floor sites, ready for any sequence of
+// phases.
+func newRunner(a *model.Architecture, opts engine.Options) (*runner, error) {
+	if err := a.Validate(); err != nil {
+		return nil, err
 	}
-	if r.sigs[k] != nil {
-		return r.sigs[k]
+	cache := opts.Cache
+	if cache == nil {
+		cache = derive.NewCache()
 	}
-	sig := make([]maxplus.T, 0, len(r.execs)+len(r.arch.Sources))
-	for _, e := range r.execs {
-		sig = append(sig, e.Duration(k))
+	dres, err := cache.Derive(a, opts.Derive)
+	if err != nil {
+		return nil, err
 	}
-	for _, s := range r.arch.Sources {
-		u := s.Schedule(k)
-		if k > 0 {
-			u -= s.Schedule(k - 1)
+	n, err := a.Iterations()
+	if err != nil {
+		return nil, err
+	}
+	if opts.IterLimit > 0 && opts.IterLimit < n {
+		n = opts.IterLimit
+	}
+	r := &runner{
+		arch:  a,
+		limit: sim.Time(opts.LimitNs),
+		cache: cache,
+		dopts: opts.Derive,
+		dres:  dres,
+		// The engine records internally even without a requested trace
+		// (the history seeds every switch), so recording costs nothing
+		// extra.
+		rec: observe.NewTrace(a.Name + "/adaptive"),
+		n:   n,
+	}
+	if err := r.buildFloorPoints(); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// sameSignature returns the signature-transition stream of the first n
+// iterations: same[k] reports whether iteration k's parameter signature
+// — every execution duration plus every source-schedule increment —
+// equals iteration k-1's (same[0] is false). Two iterations with equal
+// signatures evolve under identical graph weights and input spacing,
+// the paper's notion of unchanged model parameters. Signatures are pure
+// functions of the model, so the whole stream is known before the run.
+func sameSignature(a *model.Architecture, execs []*model.ExecInfo, n int) []bool {
+	same := make([]bool, n)
+	prev := make([]maxplus.T, 0, len(execs)+len(a.Sources))
+	cur := make([]maxplus.T, 0, cap(prev))
+	for k := 0; k < n; k++ {
+		cur = cur[:0]
+		for _, e := range execs {
+			cur = append(cur, e.Duration(k))
 		}
-		sig = append(sig, u)
+		for _, s := range a.Sources {
+			u := s.Schedule(k)
+			if k > 0 {
+				u -= s.Schedule(k - 1)
+			}
+			cur = append(cur, u)
+		}
+		same[k] = k > 0 && slices.Equal(prev, cur)
+		prev, cur = cur, prev
 	}
-	r.sigs[k] = sig
-	return sig
+	return same
 }
 
-func sigsEqual(a, b []maxplus.T) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// span is one planned phase: iterations [k0, k1), computed over the
+// graph when abstract and simulated on one kernel otherwise.
+type span struct {
+	abstract bool
+	k0, k1   int
+}
+
+// plan works out every phase of an n-iteration run from the
+// signature-transition stream before anything runs. The detector sees
+// each transition exactly once and in order, and is asked for
+// confirmation every nextCheck iterations of a detailed phase, as if it
+// ran interleaved with the kernel. A detailed phase ends where the
+// detector confirms a steady state over the stream up to and including
+// the phase's last transition — the one-step lookahead keeping a switch
+// from falling straight back; an abstract phase ends at the first
+// changed signature. Equal consecutive signatures keep the whole
+// abstract phase at the signature confirmed at the switch.
+func plan(n int, det detector, same []bool) []span {
+	var spans []span
+	seen := 0 // transitions observed: same[1..seen]
+	observe := func(k int) {
+		for ; seen < k; seen++ {
+			det.observe(same[seen+1])
 		}
 	}
-	return true
-}
-
-// advanceDetector feeds the detector every signature transition up to
-// and including (k-1, k), exactly once each: sigIdx tracks the last
-// signature incorporated, so interleaved detailed chunks, steady-state
-// checks and abstract fallbacks all observe one contiguous stream.
-// Signatures are analytic (pure functions of the model), so the stream
-// can run ahead of the simulated iterations — that final transition is
-// the one-step lookahead keeping a switch from falling straight back.
-func (r *runner) advanceDetector(k int) {
-	for r.sigIdx < k {
-		r.sigIdx++
-		r.det.observe(sigsEqual(r.sigAt(r.sigIdx-1), r.sigAt(r.sigIdx)))
+	for k := 0; k < n; {
+		k0 := k
+		observe(k)
+		for {
+			k = min(k+det.nextCheck(), n)
+			if k == n {
+				break
+			}
+			observe(k)
+			if det.confirmed() {
+				break
+			}
+		}
+		spans = append(spans, span{k0: k0, k1: k})
+		if k == n {
+			break
+		}
+		k0 = k
+		for k < n && same[k] {
+			k++
+		}
+		spans = append(spans, span{abstract: true, k0: k0, k1: k})
 	}
-}
-
-// switchable reports whether the run may switch to the abstract engine
-// at iteration k: the detector confirms steadiness over the transition
-// stream ending at sig(k) — which includes the lookahead match of
-// iteration k itself (otherwise the switch would fall straight back).
-// With the fixed-window detector this is bit-identical to the original
-// trailing-window check.
-func (r *runner) switchable(k int) bool {
-	if k < 1 || k >= r.n {
-		return false
-	}
-	r.advanceDetector(k)
-	return r.det.confirmed()
+	return spans
 }
 
 // hist returns the recorded instant of a graph node at iteration k, or ε
@@ -324,10 +327,10 @@ func (r *runner) hist(id tdg.NodeID, k int) maxplus.T {
 	return xs[k]
 }
 
-// runChunk simulates iterations [k0, k1) event-by-event on a fresh
+// runChunk simulates iterations [k0, k1) event-by-event on one fresh
 // kernel, seeded from the recorded history through statement floors, and
 // returns the next iteration index: k1 normally, or — when the time
-// limit cut the chunk short — the number of iterations the kernel
+// limit cut the phase short — the number of iterations the kernel
 // actually completed for every instant label.
 func (r *runner) runChunk(k0, k1 int) (int, error) {
 	kern := sim.New()
@@ -375,7 +378,7 @@ func (r *runner) runChunk(k0, k1 int) (int, error) {
 
 // completedIterations counts how many iterations the trace holds for
 // every instant label — the evolution actually finished when a time
-// limit stopped a chunk before its last iteration.
+// limit stopped a kernel before its last iteration.
 func (r *runner) completedIterations(k0, k1 int) int {
 	done := k1
 	for _, label := range r.dres.Labels {
@@ -389,12 +392,11 @@ func (r *runner) completedIterations(k0, k1 int) int {
 	return done
 }
 
-// runAbstract computes iterations from k0 onward over the temporal
-// dependency graph (obtained through the structure-keyed cache, so
-// repeated steady windows re-bind one derivation) until the parameter
-// signature deviates from the steady signature confirmed at the switch.
-// It returns the first iteration not computed.
-func (r *runner) runAbstract(k0 int) (int, error) {
+// runAbstract computes iterations [k0, k1) over the temporal dependency
+// graph, obtained through the structure-keyed cache so repeated steady
+// phases re-bind one derivation. It returns the first iteration not
+// computed: k1, or earlier when the time limit cut the phase.
+func (r *runner) runAbstract(k0, k1 int) (int, error) {
 	dres, err := r.cache.Derive(r.arch, r.dopts)
 	if err != nil {
 		return k0, err
@@ -406,14 +408,10 @@ func (r *runner) runAbstract(k0 int) (int, error) {
 	if err := ev.SeedHistory(k0, r.hist); err != nil {
 		return k0, err
 	}
-	steady := r.sigAt(k0 - 1)
 	us := make([]maxplus.T, len(r.arch.Sources))
 	vals := make([]maxplus.T, dres.Graph.NodeCount())
 	k := k0
-	for k < r.n {
-		if !sigsEqual(r.sigAt(k), steady) {
-			break // reconfiguration: fall back to the detailed engine
-		}
+	for k < k1 {
 		for i, s := range r.arch.Sources {
 			us[i] = s.Schedule(k)
 		}

@@ -81,7 +81,7 @@ func scenarios() map[string]func() *model.Architecture {
 // TestBitExactVsReference is the acceptance guard: on every scenario the
 // adaptive engine's trace must agree bit-exact with the reference
 // executor, for several steady-state windows (small windows force many
-// chunk boundaries and exercise the resume floors heavily).
+// phase boundaries and exercise both switch directions heavily).
 func TestBitExactVsReference(t *testing.T) {
 	for name, build := range scenarios() {
 		t.Run(name, func(t *testing.T) {
@@ -100,6 +100,69 @@ func TestBitExactVsReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestResumeAtEveryBoundary splits a detailed-only run of every
+// scenario into two kernels at each early iteration boundary and a few
+// later ones: the second kernel resumes from the first one's recorded
+// history through the statement floors alone, and the joined trace must
+// equal the reference executor's. Rotation-gate floors sit on a Read
+// statement, FIFO-backpressure floors on a Write statement or a source
+// emission: the rendezvous pipeline must exercise the former, the FIFO
+// scenario the latter. Small random architectures join the matrix
+// because their FIFOs fill, so writer-side floors actually bind there.
+func TestResumeAtEveryBoundary(t *testing.T) {
+	archs := scenarios()
+	for seed := int64(1); seed <= 8; seed++ {
+		archs[fmt.Sprintf("random-%d", seed)] = func() *model.Architecture {
+			return zoo.Random(zoo.RandomSpec{Seed: seed, Tokens: 60})
+		}
+	}
+	cache := derive.NewCache()
+	rotation, backpressure := map[string]bool{}, map[string]bool{}
+	for name, build := range archs {
+		want, _ := refTrace(t, build)
+		n, err := build().Iterations()
+		if err != nil {
+			t.Fatal(err)
+		}
+		boundaries := []int{n / 3, n / 2, n - 1}
+		for k := 1; k < 40; k++ {
+			boundaries = append(boundaries, k)
+		}
+		for _, k := range boundaries {
+			r, err := newRunner(build(), engine.Options{Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.runChunk(0, k); err != nil {
+				t.Fatal(err)
+			}
+			floors, srcFloors := r.floorsFor(k)
+			for key := range floors {
+				if _, ok := key.f.Body[key.stmt].(model.Read); ok {
+					rotation[name] = true
+				} else {
+					backpressure[name] = true
+				}
+			}
+			if len(srcFloors) > 0 {
+				backpressure[name] = true
+			}
+			if _, err := r.runChunk(k, n); err != nil {
+				t.Fatal(err)
+			}
+			if err := observe.CompareInstants(want, r.rec); err != nil {
+				t.Fatalf("%s resumed at %d: trace differs: %v", name, k, err)
+			}
+		}
+	}
+	if !rotation["pipeline-steady"] {
+		t.Error("pipeline-steady never resumed across a rotation-gate floor")
+	}
+	if !backpressure["phased-fifo"] {
+		t.Error("phased-fifo never resumed across a FIFO-backpressure floor")
 	}
 }
 

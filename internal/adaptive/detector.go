@@ -45,10 +45,9 @@ type detector interface {
 	// confirmed reports whether the evidence observed so far justifies
 	// switching to the abstract engine at the current position.
 	confirmed() bool
-	// nextCheck returns how many further transitions are worth
-	// consuming before confirmed() could possibly flip to true —
-	// the detailed chunk length between steady-state checks. Always
-	// at least 1.
+	// nextCheck returns how many further transitions the planner
+	// consumes before it next asks confirmed(): the spacing of
+	// steady-state checks within a detailed phase. Always at least 1.
 	nextCheck() int
 	// String describes the detector and its parameters for
 	// introspection ("fixed:8", "confidence:0.90").
@@ -73,8 +72,8 @@ func (d *fixedWindow) observe(equal bool) {
 
 func (d *fixedWindow) confirmed() bool { return d.run >= d.w }
 
-// nextCheck keeps the historical cadence: detailed chunks of w
-// iterations between checks.
+// nextCheck keeps the historical cadence: a check every w iterations
+// of a detailed phase, so its switch points land on k0 + j·w.
 func (d *fixedWindow) nextCheck() int { return d.w }
 
 func (d *fixedWindow) String() string { return fmt.Sprintf("fixed:%d", d.w) }
@@ -94,10 +93,7 @@ func (d *fixedWindow) String() string { return fmt.Sprintf("fixed:%d", d.w) }
 // steady-from-start stream fires after minSteadyRun transitions instead
 // of waiting out a window, while every observed change pushes q̂ up and
 // delays the next eligible fire point until enough matching transitions
-// have decayed it back under tolerance. The detector additionally keeps
-// Welford mean/variance over the completed steady-run lengths of the
-// stream (runStats) — the streaming second moment behind introspection
-// and the detector property tests.
+// have decayed it back under tolerance.
 type confidence struct {
 	threshold float64 // required posterior match probability
 	alpha     float64 // Beta prior pseudo-matches; see beta()
@@ -106,11 +102,6 @@ type confidence struct {
 	transitions float64 // t: discounted transitions observed
 	changes     float64 // c: discounted changes observed
 	run         int     // current identical-signature run length
-
-	// Welford accumulator over completed run lengths (undiscounted;
-	// introspection only).
-	runs           int
-	runMean, runM2 float64
 }
 
 // newConfidence builds the confidence detector for a threshold
@@ -140,13 +131,6 @@ func (d *confidence) observe(equal bool) {
 		return
 	}
 	d.changes++
-	// A change closes the current steady run; fold its length into the
-	// Welford accumulator before resetting.
-	x := float64(d.run)
-	d.runs++
-	delta := x - d.runMean
-	d.runMean += delta / float64(d.runs)
-	d.runM2 += delta * (x - d.runMean)
 	d.run = 0
 }
 
@@ -160,50 +144,18 @@ func (d *confidence) confirmed() bool {
 	return d.run >= d.minRun && d.matchProb() >= d.threshold
 }
 
-// nextCheck simulates the detector forward under the best case — every
-// further transition matches — and returns the first step at which
-// confirmed() could turn true. A change inside the span only raises the
-// discounted change mass and resets the run, pushing the true fire
-// point further out, so a detailed chunk of this length never skips
-// past an eligible switch: it is the tightest safe chunk length. It
-// grows automatically after turbulence (fewer kernel restarts on
-// streams that keep changing) and sits at minRun on a quiet stream.
-func (d *confidence) nextCheck() int {
-	c, t, run := d.changes, d.transitions, d.run
-	for m := 1; ; m++ {
-		t = t*detectorDecay + 1
-		c *= detectorDecay
-		run++
-		if run >= d.minRun && 1-(c+d.alpha)/(t+d.alpha+d.beta()) >= d.threshold {
-			return m
-		}
-		// The discounted change mass decays geometrically, so this
-		// terminates in O(log c) steps; the cap is a pure backstop.
-		if m >= 256 {
-			return m
-		}
-	}
-}
+// nextCheck asks after every transition: a planning check costs one
+// confirmed() call, so the switch fires at the first transition whose
+// evidence allows it.
+func (d *confidence) nextCheck() int { return 1 }
 
 func (d *confidence) String() string {
 	return fmt.Sprintf("confidence:%.2f", d.threshold)
 }
 
-// runStats returns the Welford mean and variance of the completed
-// steady-run lengths observed so far.
-func (d *confidence) runStats() (mean, variance float64) {
-	if d.runs == 0 {
-		return 0, 0
-	}
-	if d.runs == 1 {
-		return d.runMean, 0
-	}
-	return d.runMean, d.runM2 / float64(d.runs-1)
-}
-
 // newDetector resolves the detection policy from the run options:
 // an explicit Window keeps the original fixed-window behavior exactly
-// (same chunks, same switch points); Window == 0 selects the
+// (same checks, same switch points); Window == 0 selects the
 // confidence-driven detector with the given (or default) threshold.
 func newDetector(window int, conf float64) detector {
 	if window > 0 {
