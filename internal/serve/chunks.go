@@ -10,10 +10,12 @@ import (
 // (internal/shard): POST /v1/chunks evaluates one coordinator-assigned
 // chunk — a set of row-major grid indices of a sweep the coordinator
 // planned — synchronously, against the worker's process-wide derivation
-// cache. The coordinator routes whole shape cohorts to one worker, so
-// the cache stays hot across the chunks of a job, and aligns chunk cuts
-// to the batch width, so the batched-lane accounting of the fleet
-// matches the single-process sweep bit for bit.
+// cache. The coordinator cuts the grid with the sweep's own cohort
+// planner (sweep.Plan) at a chunk size aligned to the batch width, so
+// the batches this endpoint forms are exactly the single-process
+// sweep's and the fleet's batched-lane accounting matches it bit for
+// bit; it routes whole shape cohorts to one worker, so the cache stays
+// hot across the chunks of a job.
 
 // ChunkRequest is the body of POST /v1/chunks: a full sweep description
 // (identical to POST /v1/sweeps, so the worker validates and maps

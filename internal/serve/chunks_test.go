@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"strings"
@@ -50,7 +51,7 @@ func TestChunkRunMatchesLocalSweep(t *testing.T) {
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
-	local, err := sweep.RunIndices(plan.Axes, indices, plan.Gen, plan.Opts)
+	local, err := sweep.RunIndicesContext(context.Background(), plan.Axes, indices, plan.Gen, plan.Opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,8 @@ type SweepDefaults struct {
 // CompileSweep validates everything about a sweep request that can fail
 // fast — registry names (or the inline architecture spec), parameters,
 // axes, grid size, group, batch width — and compiles it into a
-// SweepPlan ready for sweep.Run, sweep.RunIndices or distributed
-// planning.
+// SweepPlan ready for sweep.RunContext, sweep.RunIndicesContext or
+// distributed planning (sweep.Plan).
 func CompileSweep(req SweepRequest, d SweepDefaults) (*SweepPlan, *RequestError) {
 	if d.Workers <= 0 {
 		d.Workers = runtime.GOMAXPROCS(0)

@@ -425,7 +425,7 @@ func (c *Coordinator) runJob(j *job) {
 // points settle with the fabric error.
 func (c *Coordinator) dispatchChunk(ctx context.Context, j *job, ci int) {
 	cp := j.chunks[ci]
-	req := serve.ChunkRequest{SweepRequest: j.spec, Indices: cp.indices}
+	req := serve.ChunkRequest{SweepRequest: j.spec, Indices: cp.Members}
 	exclude := map[string]bool{}
 	var lastErr error
 	var backoff time.Duration
@@ -447,7 +447,7 @@ func (c *Coordinator) dispatchChunk(ctx context.Context, j *job, ci int) {
 			}
 			c.chunkRetries.Add(1)
 		}
-		worker, ok := c.ring.lookup(cp.shape, exclude)
+		worker, ok := c.ring.lookup(cp.Shape, exclude)
 		if !ok {
 			if lastErr == nil {
 				lastErr = errors.New("no live worker")

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"testing"
 
 	"dyncomp/internal/serve"
@@ -74,21 +75,26 @@ var scenarioSweeps = map[string]serve.SweepRequest{
 }
 
 // The fabric's acceptance property: every registered zoo scenario ×
-// engines {equivalent, hybrid, adaptive}, swept through a 3-worker
-// in-process fleet with batched lanes and small chunks (so every job
-// spans several chunks and cohorts split across dispatches), is
-// bit-identical to the single-process sweep of the same request —
+// engines {equivalent, hybrid, adaptive}, swept through in-process
+// fleets of 1 and of 3 workers with batched lanes and small chunks (so
+// every job spans several chunks and cohorts split across dispatches),
+// is bit-identical to the single-process sweep of the same request —
 // per-point engine counters, error strings, event ratios, point/shape
-// counts, batch counts and batched-cohort occupancy. The hybrid engine
-// runs wherever the scenario declares a canonical group, exactly as the
+// counts, batch counts and batched-cohort occupancy. The fleet size is
+// one more input the result must not depend on. The hybrid engine runs
+// wherever the scenario declares a canonical group, exactly as the
 // single-process API would accept it.
 func TestFleetSweepBitIdenticalOnEveryScenario(t *testing.T) {
 	scenarios := zoo.Scenarios()
 	if len(scenarios) < 7 {
 		t.Fatalf("scenario registry holds %d scenarios, want at least 7", len(scenarios))
 	}
-	workers := newFleet(t, 3)
-	_, ts := newCoord(t, Config{Workers: workers, ChunkPoints: 4})
+	fleetSizes := []int{1, 3}
+	coords := make([]string, len(fleetSizes))
+	for i, n := range fleetSizes {
+		_, ts := newCoord(t, Config{Workers: newFleet(t, n), ChunkPoints: 4})
+		coords[i] = ts.URL
+	}
 
 	for _, sc := range scenarios {
 		req, ok := scenarioSweeps[sc.Name]
@@ -110,11 +116,15 @@ func TestFleetSweepBitIdenticalOnEveryScenario(t *testing.T) {
 					r.Options.Baseline = true
 				}
 
-				job := submitSweep(t, ts.URL, r)
-				res := waitTerminal(t, ts.URL, job.ID)
 				local := localSweep(t, r)
-				assertBitIdentical(t, res, local)
-				uniqueIndexParams(t, res.Points)
+				for i, n := range fleetSizes {
+					t.Run(fmt.Sprintf("fleet%d", n), func(t *testing.T) {
+						job := submitSweep(t, coords[i], r)
+						res := waitTerminal(t, coords[i], job.ID)
+						assertBitIdentical(t, res, local)
+						uniqueIndexParams(t, res.Points)
+					})
+				}
 			})
 		}
 	}

@@ -20,7 +20,7 @@ type job struct {
 	axes     []sweep.Axis
 	shapes   int
 	effWidth int
-	chunks   []chunkPlan
+	chunks   []sweep.Chunk
 
 	chunkDone     []bool
 	points        []*serve.SweepPoint // by global grid index
@@ -92,7 +92,7 @@ func (j *job) applyChunk(ci int, points []serve.ChunkPoint, batches, batchedPoin
 // persisted — a restarted coordinator re-dispatches the chunk, and a
 // recovered fleet may then complete it.
 func (j *job) failChunk(ci int, err error) {
-	pts, gerr := sweep.GridSelect(j.axes, j.chunks[ci].indices)
+	pts, gerr := sweep.GridSelect(j.axes, j.chunks[ci].Members)
 	if gerr != nil {
 		return // the plan produced these indices; cannot happen
 	}

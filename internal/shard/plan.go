@@ -5,30 +5,24 @@ import (
 	"dyncomp/internal/sweep"
 )
 
-// chunkPlan is one unit of dispatch: a run of row-major grid indices
-// from a single shape cohort, routed on the ring by the cohort's
-// structural shape.
-type chunkPlan struct {
-	shape   string
-	indices []int
-}
-
 // jobPlan is a sweep spec compiled and cut for the fleet. Planning is
 // deterministic — same spec, same chunks in the same order — which is
 // what lets a restarted coordinator identify recovered chunk results by
-// nothing more than their position in the plan.
+// nothing more than their position in the plan. Each chunk is a run of
+// row-major grid indices from a single shape cohort, routed on the ring
+// by the cohort's structural shape.
 type jobPlan struct {
 	plan     *serve.SweepPlan
-	chunks   []chunkPlan
+	chunks   []sweep.Chunk
 	failed   []serve.ChunkPoint // points that fail before any worker sees them
 	shapes   int                // distinct structural shapes across the grid
 	effWidth int                // the batch width pinned into every chunk request
 }
 
 // planJob validates the spec through the exact path a worker will use
-// (serve.CompileSweep), expands the grid, derives each point's
-// structural shape, groups points into the same cohorts the worker-side
-// sweep will form (sweep.Prepare), and cuts each cohort into chunks.
+// (serve.CompileSweep), expands the grid and cuts it with the sweep's
+// own cohort planner (sweep.Plan), so the chunks follow the cohorts the
+// worker-side sweep will form.
 //
 // Chunk cuts are aligned to the effective batch width: every chunk but
 // a cohort's last carries a multiple of the width, so the worker-side
@@ -70,38 +64,16 @@ func planJob(spec serve.SweepRequest, d serve.SweepDefaults, chunkPoints int) (*
 		size = 1
 	}
 
-	// Group the grid into cohorts in grid order, mirroring the sweep
-	// engine's batched path bit for bit.
-	var order []string
-	cohorts := map[string][]int{}
-	shapeOf := map[string]string{}
+	chunks, failed := sweep.Plan(pts, plan.Gen, plan.Opts, size)
+	jp.chunks = chunks
+	for _, pr := range failed {
+		jp.failed = append(jp.failed, failedPoint(pr.Point, pr.Err))
+	}
 	shapes := map[string]bool{}
-	for _, p := range pts {
-		pp, perr := sweep.Prepare(p, plan.Gen, plan.Opts)
-		if perr != nil {
-			jp.failed = append(jp.failed, failedPoint(p, perr))
-			continue
-		}
-		shapes[pp.Shape] = true
-		if _, ok := cohorts[pp.Key]; !ok {
-			order = append(order, pp.Key)
-			shapeOf[pp.Key] = pp.Shape
-		}
-		cohorts[pp.Key] = append(cohorts[pp.Key], p.Index)
+	for _, c := range chunks {
+		shapes[c.Shape] = true
 	}
 	jp.shapes = len(shapes)
-
-	for _, key := range order {
-		members := cohorts[key]
-		for len(members) > 0 {
-			n := size
-			if n > len(members) {
-				n = len(members)
-			}
-			jp.chunks = append(jp.chunks, chunkPlan{shape: shapeOf[key], indices: members[:n:n]})
-			members = members[n:]
-		}
-	}
 	return jp, nil
 }
 

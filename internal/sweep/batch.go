@@ -12,180 +12,175 @@ import (
 	"dyncomp/internal/model"
 )
 
-// batchStats accumulates the batched-evaluation counters feeding
-// Stats.Batches / BatchedPoints / BatchOccupancy.
-type batchStats struct {
-	batches int // batched engine invocations that ran
-	points  int // points those invocations evaluated
+// Chunk is one unit of batched dispatch cut by the cohort planner: up
+// to the planner's size points of one shape cohort, in grid order.
+type Chunk struct {
+	// Shape is the cohort's structural shape (derive.ShapeKey); a
+	// distributed coordinator routes the chunk on it.
+	Shape string
+	// Members are the chunk's positions in the planned point slice —
+	// the row-major grid indices when the slice is the whole Grid.
+	Members []int
+	// derive and group are the per-point options every member shares.
+	derive derive.Options
+	group  []string
 }
 
-// CohortKey names the equivalence class of points a single batched run
+// cohortKey names the equivalence class of points a single batched run
 // can carry: one structural shape evaluated under one set of per-point
-// options. Points whose generation or shape derivation fails are
-// finished immediately and never join a cohort. Exported so the
-// distributed coordinator (internal/shard) cuts its chunks along
-// exactly the cohort boundaries the worker-side sweep will use — that
-// alignment is what keeps the fleet's batch accounting bit-identical to
-// a single-process sweep.
-func CohortKey(shape string, dopts derive.Options, group []string) string {
+// options.
+func cohortKey(pp prepared) string {
 	return fmt.Sprintf("%s\x00pad=%d reduce=%t\x00%s",
-		shape, dopts.PadNodes, dopts.Reduce, strings.Join(group, ","))
+		pp.shape, pp.derive.PadNodes, pp.derive.Reduce, strings.Join(pp.group, ","))
 }
 
-// runBatched is the batch-first evaluation strategy: pre-generate every
-// point, group the points into shape cohorts, chunk each cohort at
-// Options.BatchWidth and evaluate the chunks on the engine's batched
-// path from a worker pool. Three phases:
-//
-//  1. Generate all architectures concurrently and derive each point's
-//     structural shape. Failures finish the point right away.
-//  2. Group by cohort key in grid order and cut chunks of at most
-//     BatchWidth points — grid neighbours stay lane neighbours, so
-//     results remain deterministic and independent of the worker count.
-//  3. Dispatch chunks to the worker pool. Each chunk is one RunBatch
-//     call; a wholesale batch failure re-evaluates that chunk's points
-//     through the scalar path (which regenerates them), per-lane
-//     failures fail only their point. Baselines, when requested, run
-//     per point — the reference executor has no batched form.
-//
-// Progress is coalesced: one notification per finished chunk, advancing
-// by the chunk size, still summing to the total under cancellation.
-func runBatched(ctx context.Context, pts []Point, gen Generator, br engine.BatchRunner, refEng engine.Engine, opts Options, cache *derive.Cache, workers int, results []PointResult, report func(int)) batchStats {
-	prep := make([]Prepared, len(pts))
-	failed := make([]bool, len(pts))
-
-	// Phase 1: concurrent generation and shape derivation.
-	var wg sync.WaitGroup
-	gjobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range gjobs {
-				err := ctx.Err()
-				if err == nil {
-					prep[i], err = Prepare(pts[i], gen, opts)
-				}
-				results[i] = PointResult{Point: pts[i], Err: err}
-				failed[i] = err != nil
-			}
-		}()
+// Plan is the cohort planner for a distributed coordinator: it prepares
+// every point, groups the prepared points by cohort key in grid order
+// and cuts each cohort into chunks of at most size points. It returns
+// the chunks and the points that failed preparation, each with the
+// error the sweep attaches. The batched sweep cuts its batches with the
+// same planner, so a coordinator that plans the whole Grid with a size
+// aligned to BatchWidth hands its workers chunks whose batches are
+// exactly the single-process sweep's. Points are prepared one at a
+// time and their architectures are not kept.
+func Plan(pts []Point, gen Generator, opts Options, size int) ([]Chunk, []PointResult) {
+	chunks, _, errs := plan(context.Background(), pts, gen, opts, size, 1, false)
+	var failed []PointResult
+	for i, err := range errs {
+		if err != nil {
+			failed = append(failed, PointResult{Point: pts[i], Err: err})
+		}
 	}
+	return chunks, failed
+}
+
+// plan prepares the points on a pool of workers (a cancelled ctx fails
+// the points not yet prepared), groups the prepared ones into cohorts in
+// grid order and cuts each cohort into chunks of at most size points —
+// grid neighbours stay lane neighbours, so the cut is deterministic and
+// independent of the worker count. It returns the chunks, each point's
+// architecture when keepArchs is set, and each point's preparation
+// error (nil for a chunk member). Only one copy of each cohort's shape
+// and options is retained, so planning a large grid holds per point no
+// more than its cohort number (and its architecture, if kept).
+func plan(ctx context.Context, pts []Point, gen Generator, opts Options, size, workers int, keepArchs bool) ([]Chunk, []*model.Architecture, []error) {
+	archs := make([]*model.Architecture, len(pts))
+	errs := make([]error, len(pts))
+	cohortOf := make([]int, len(pts))
+	var (
+		mu      sync.Mutex
+		byKey   = map[string]int{}
+		cohorts []Chunk // one per cohort key: shape and options, no members
+	)
+	forEach(ctx, len(pts), workers, func(i int) {
+		pp, err := prepare(pts[i], gen, opts)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		if keepArchs {
+			archs[i] = pp.arch
+		}
+		key := cohortKey(pp)
+		mu.Lock()
+		c, ok := byKey[key]
+		if !ok {
+			c = len(cohorts)
+			byKey[key] = c
+			cohorts = append(cohorts, Chunk{Shape: pp.shape, derive: pp.derive, group: pp.group})
+		}
+		mu.Unlock()
+		cohortOf[i] = c
+	}, func(i int, err error) { errs[i] = err })
+
+	// Cohorts in the grid order of their first member.
+	members := make([][]int, len(cohorts))
+	var order []int
 	for i := range pts {
-		gjobs <- i
+		if errs[i] != nil {
+			continue
+		}
+		c := cohortOf[i]
+		if members[c] == nil {
+			order = append(order, c)
+		}
+		members[c] = append(members[c], i)
 	}
-	close(gjobs)
-	wg.Wait()
+	var chunks []Chunk
+	for _, c := range order {
+		for m := members[c]; len(m) > 0; {
+			n := min(size, len(m))
+			chunk := cohorts[c]
+			chunk.Members = m[:n:n]
+			chunks = append(chunks, chunk)
+			m = m[n:]
+		}
+	}
+	return chunks, archs, errs
+}
 
-	// Points that already failed (generation, shape derivation or a
-	// pre-existing cancellation) are finished; report them as one
-	// coalesced stride.
+// runBatched is the batch-first evaluation strategy: the cohort planner
+// pre-generates every point on the worker pool and cuts its shape
+// cohorts into chunks of Options.BatchWidth; then the same pool
+// evaluates the chunks. Points that fail preparation are finished right
+// away. Each chunk is one RunBatch call; a wholesale batch failure
+// re-evaluates that chunk's points through the scalar path (which
+// regenerates them), per-lane failures fail only their point.
+// Baselines, when requested, run per point — the reference executor has
+// no batched form.
+//
+// Progress is coalesced: one notification for the points that failed
+// preparation and one per finished chunk, advancing by the chunk size,
+// still summing to the total under cancellation. It returns the
+// batched engine invocations that ran and the points they evaluated.
+func runBatched(ctx context.Context, pts []Point, gen Generator, br engine.BatchRunner, refEng engine.Engine, opts Options, cache *derive.Cache, workers int, results []PointResult, report func(int)) (batches, points int) {
+	chunks, archs, errs := plan(ctx, pts, gen, opts, opts.BatchWidth, workers, true)
 	nfailed := 0
-	for i := range pts {
-		if failed[i] {
+	for i, err := range errs {
+		if err != nil {
+			results[i] = PointResult{Point: pts[i], Err: err}
 			nfailed++
 		}
 	}
 	report(nfailed)
 
-	// Phase 2: cohorts in grid order, cut into chunks of BatchWidth.
-	order := make([]string, 0)
-	cohorts := make(map[string][]int)
-	for i := range pts {
-		if failed[i] {
-			continue
+	var nbatches, batched atomic.Int64
+	forEach(ctx, len(chunks), workers, func(ci int) {
+		c := chunks[ci]
+		if evalChunk(ctx, c, pts, archs, gen, br, refEng, opts, cache, results) {
+			nbatches.Add(1)
+			batched.Add(int64(len(c.Members)))
 		}
-		k := prep[i].Key
-		if _, ok := cohorts[k]; !ok {
-			order = append(order, k)
-		}
-		cohorts[k] = append(cohorts[k], i)
-	}
-	var chunks [][]int
-	for _, k := range order {
-		members := cohorts[k]
-		for len(members) > 0 {
-			n := opts.BatchWidth
-			if n > len(members) {
-				n = len(members)
-			}
-			chunks = append(chunks, members[:n:n])
-			members = members[n:]
-		}
-	}
-
-	// Phase 3: chunk worker pool, mirroring the per-point dispatch
-	// loop's cancellation contract (done == total even on cancel).
-	var batches, batched atomic.Int64
-	cjobs := make(chan []int)
-	failChunk := func(chunk []int, err error) {
-		for _, i := range chunk {
+		report(len(c.Members))
+	}, func(ci int, err error) {
+		for _, i := range chunks[ci].Members {
 			results[i] = PointResult{Point: pts[i], Err: err}
 		}
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for chunk := range cjobs {
-				if err := ctx.Err(); err != nil {
-					failChunk(chunk, err)
-				} else {
-					evalChunk(ctx, chunk, pts, prep, gen, br, refEng, opts, cache, results, &batches, &batched)
-				}
-				report(len(chunk))
-			}
-		}()
-	}
-dispatch:
-	for ci := range chunks {
-		select {
-		case <-ctx.Done():
-			for _, chunk := range chunks[ci:] {
-				failChunk(chunk, ctx.Err())
-				report(len(chunk))
-			}
-			break dispatch
-		case cjobs <- chunks[ci]:
-		}
-	}
-	close(cjobs)
-	wg.Wait()
-	return batchStats{batches: int(batches.Load()), points: int(batched.Load())}
+		report(len(chunks[ci].Members))
+	})
+	return int(nbatches.Load()), int(batched.Load())
 }
 
 // evalChunk evaluates one shape cohort chunk through the batched engine
-// path; on a wholesale batch failure every point of the chunk re-runs
-// through the scalar path.
-func evalChunk(ctx context.Context, chunk []int, pts []Point, prep []Prepared, gen Generator, br engine.BatchRunner, refEng engine.Engine, opts Options, cache *derive.Cache, results []PointResult, batches, batched *atomic.Int64) {
-	archs := make([]*model.Architecture, len(chunk))
-	for l, i := range chunk {
-		archs[l] = prep[i].Arch
+// path and reports whether the batch ran; on a wholesale batch failure
+// every point of the chunk re-runs through the scalar path instead.
+func evalChunk(ctx context.Context, c Chunk, pts []Point, archs []*model.Architecture, gen Generator, br engine.BatchRunner, refEng engine.Engine, opts Options, cache *derive.Cache, results []PointResult) bool {
+	lanes := make([]*model.Architecture, len(c.Members))
+	for l, i := range c.Members {
+		lanes[l] = archs[i]
 	}
-	// All chunk members share one cohort key, so the first point's
-	// options speak for the chunk.
-	lead := prep[chunk[0]]
-	out, laneErrs, err := runBatchRecovered(ctx, br, archs, engine.Options{
-		Record:        opts.Record,
-		LimitNs:       int64(opts.Limit),
-		WindowK:       opts.Window,
-		Confidence:    opts.Confidence,
-		AbstractGroup: lead.Group,
-		Derive:        lead.Derive,
-		Cache:         cache,
-	})
+	eopts := opts.engineOptions(c.derive, c.group, cache)
+	out, laneErrs, err := runBatchRecovered(ctx, br, lanes, eopts)
 	if err != nil {
 		// Wholesale failure: nothing ran. Fall back to scalar
 		// evaluation so a batch-path limitation never fails a point a
 		// per-point sweep would have completed.
-		for _, i := range chunk {
+		for _, i := range c.Members {
 			results[i] = evalPoint(ctx, pts[i], gen, br, refEng, opts, cache)
 		}
-		return
+		return false
 	}
-	batches.Add(1)
-	batched.Add(int64(len(chunk)))
-	for l, i := range chunk {
+	for l, i := range c.Members {
 		p := pts[i]
 		if laneErrs[l] != nil {
 			results[i] = PointResult{Point: p, Err: fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, laneErrs[l])}
@@ -193,10 +188,11 @@ func evalChunk(ctx context.Context, chunk []int, pts []Point, prep []Prepared, g
 		}
 		pr := PointResult{Point: p, Run: pointStats(out[l]), Trace: out[l].Trace}
 		if opts.Baseline {
-			addBaseline(ctx, p, gen, refEng, opts, &pr)
+			addBaseline(ctx, p, gen, refEng, eopts, &pr)
 		}
 		results[i] = pr
 	}
+	return true
 }
 
 // runBatchRecovered shields the sweep from a panicking batched run the

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dyncomp/internal/derive"
 	"dyncomp/internal/engine"
 	"dyncomp/internal/maxplus"
 	"dyncomp/internal/model"
@@ -287,7 +288,7 @@ func TestBatchedSweepProgressMonotonic(t *testing.T) {
 	}
 }
 
-// RunIndices evaluates a subset of the grid bit-exactly against the
+// RunIndicesContext evaluates a subset of the grid bit-exactly against the
 // same points of the full sweep, preserving global indices — and when
 // the subset is one whole shape cohort cut at a BatchWidth boundary,
 // the batch accounting matches what the full sweep spent on it.
@@ -302,7 +303,7 @@ func TestRunIndicesMatchesFullSweep(t *testing.T) {
 	}
 	// Indices 5..9 are the whole stages=2 cohort, in grid order.
 	indices := []int{5, 6, 7, 8, 9}
-	part, err := RunIndices(axes, indices, didacticGen, Options{Workers: 2, BatchWidth: 2})
+	part, err := RunIndicesContext(context.Background(), axes, indices, didacticGen, Options{Workers: 2, BatchWidth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,6 +327,66 @@ func TestRunIndicesMatchesFullSweep(t *testing.T) {
 	if part.Stats.Batches != 3 || part.Stats.BatchedPoints != 5 {
 		t.Fatalf("batches=%d batched_points=%d, want 3/5",
 			part.Stats.Batches, part.Stats.BatchedPoints)
+	}
+}
+
+// The cohort planner groups prepared points by shape and per-point
+// options in the grid order of each cohort's first member, cuts every
+// cohort at the given size, and hands back the points that failed
+// preparation with the sweep's own message (a generator panic
+// included). The cut does not depend on how many workers prepared the
+// points.
+func TestPlanCutsCohortsInGridOrder(t *testing.T) {
+	axes := []Axis{
+		{Name: "stages", Values: []int64{2, 0, 1}},
+		{Name: "seed", Values: []int64{1, 2, 3}},
+	}
+	pts, err := Grid(axes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seed 2 derives with padding: same shape, another cohort.
+	opts := Options{DeriveFor: func(p Point) derive.Options {
+		if p.Get("seed", 0) == 2 {
+			return derive.Options{PadNodes: 10}
+		}
+		return derive.Options{}
+	}}
+	chunks, failed := Plan(pts, didacticGen, opts, 2)
+
+	want := [][]int{{0, 2}, {1}, {6, 8}, {7}}
+	if len(chunks) != len(want) {
+		t.Fatalf("%d chunks, want %d: %+v", len(chunks), len(want), chunks)
+	}
+	for k, c := range chunks {
+		if fmt.Sprint(c.Members) != fmt.Sprint(want[k]) {
+			t.Fatalf("chunk %d holds %v, want %v", k, c.Members, want[k])
+		}
+	}
+	if chunks[0].Shape != chunks[1].Shape || chunks[2].Shape != chunks[3].Shape || chunks[0].Shape == chunks[2].Shape {
+		t.Fatal("chunk shapes do not follow the stages axis")
+	}
+	if chunks[1].derive.PadNodes != 10 || chunks[0].derive.PadNodes != 0 {
+		t.Fatalf("chunk options %+v / %+v, want the cohort's own", chunks[0].derive, chunks[1].derive)
+	}
+	if len(failed) != 3 {
+		t.Fatalf("%d failed points, want the 3 of stages=0", len(failed))
+	}
+	for k, pr := range failed {
+		wantMsg := fmt.Sprintf("sweep: point %d (stages=0,seed=%d): panic: zoo: chain needs at least one stage", 3+k, k+1)
+		if pr.Point.Index != 3+k || pr.Err == nil || pr.Err.Error() != wantMsg {
+			t.Fatalf("failed point %d: %d %v, want %q", k, pr.Point.Index, pr.Err, wantMsg)
+		}
+	}
+
+	pooled, archs, errs := plan(context.Background(), pts, didacticGen, opts, 2, 4, true)
+	if fmt.Sprintf("%+v", pooled) != fmt.Sprintf("%+v", chunks) {
+		t.Fatalf("4-worker plan %+v != 1-worker plan %+v", pooled, chunks)
+	}
+	for i := range pts {
+		if (errs[i] == nil) != (archs[i] != nil) {
+			t.Fatalf("point %d: error %v with architecture %v", i, errs[i], archs[i] != nil)
+		}
 	}
 }
 

@@ -15,11 +15,18 @@
 // once per shape rather than once per point. The cache is injected into
 // every engine run, so the hybrid and adaptive engines share it too.
 //
+// With Options.BatchWidth set, one cohort planner (Plan) groups the
+// points by structural shape and per-point options in grid order and
+// cuts each cohort into chunks, each evaluated in one batched engine
+// pass; a distributed coordinator cuts its dispatch chunks with the
+// same planner. Points, preparations and chunks all run on one worker
+// pool.
+//
 // Every point is evaluated independently and deterministically: the
 // per-point results (instants, stats) are identical regardless of the
 // worker count or scheduling order. RunContext threads a context through
-// the worker pool: a cancelled context stops dispatching points,
-// fails the remaining ones with the context's error, and returns it
+// the worker pool: a cancelled context stops dispatching work, fails
+// the remaining points with the context's error, and returns it
 // alongside the partial result.
 package sweep
 
@@ -29,6 +36,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dyncomp/internal/derive"
@@ -274,8 +282,8 @@ type Options struct {
 	// the rest is predicted by an analytical surrogate. Requires the
 	// sampling driver to be linked (import _ "dyncomp/internal/
 	// surrogate"); only Run/RunContext support it — a distributed
-	// chunk evaluation (RunIndices) rejects it, because the surrogate
-	// needs the whole grid to choose its samples.
+	// chunk evaluation (RunIndicesContext) rejects it, because the
+	// surrogate needs the whole grid to choose its samples.
 	Sample SampleOptions
 	// BatchWidth, when positive, groups grid points sharing one
 	// structural shape (derive.ShapeKey, same per-point derive options
@@ -425,20 +433,15 @@ func RunContext(ctx context.Context, axes []Axis, gen Generator, opts Options) (
 	return runPoints(ctx, pts, gen, opts)
 }
 
-// RunIndices evaluates only the given row-major grid indices — one
-// shard's chunk of a distributed sweep. Results come back in indices
+// RunIndicesContext evaluates only the given row-major grid indices —
+// one shard's chunk of a distributed sweep — under the same
+// cancellation contract as RunContext. Results come back in indices
 // order with each point's global grid Index preserved, and Progress
 // counts against len(indices). Because every point is evaluated
 // independently and batched cohorts are cut in the order given, a
-// coordinator that routes whole shape cohorts (aligned to BatchWidth)
-// reproduces the single-process sweep bit for bit, batch counts
-// included. It is RunIndicesContext with a background context.
-func RunIndices(axes []Axis, indices []int, gen Generator, opts Options) (*Result, error) {
-	return RunIndicesContext(context.Background(), axes, indices, gen, opts)
-}
-
-// RunIndicesContext is RunIndices with cancellation, under the same
-// contract as RunContext.
+// coordinator that routes whole shape cohorts (cut by Plan, aligned to
+// BatchWidth) reproduces the single-process sweep bit for bit, batch
+// counts included.
 func RunIndicesContext(ctx context.Context, axes []Axis, indices []int, gen Generator, opts Options) (*Result, error) {
 	if opts.Sample.Enabled() {
 		// The surrogate chooses which indices to simulate from the whole
@@ -453,8 +456,8 @@ func RunIndicesContext(ctx context.Context, axes []Axis, indices []int, gen Gene
 }
 
 // runPoints is the shared evaluation core behind RunContext and
-// RunIndicesContext: resolve the engine, spin the worker pool and
-// evaluate every given point (per point or in shape-cohort batches).
+// RunIndicesContext: resolve the engine, then evaluate every given point
+// on the worker pool, per point or in shape-cohort batches.
 func runPoints(ctx context.Context, pts []Point, gen Generator, opts Options) (*Result, error) {
 	if gen == nil {
 		return nil, fmt.Errorf("sweep: nil generator")
@@ -479,9 +482,6 @@ func runPoints(ctx context.Context, pts []Point, gen Generator, opts Options) (*
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pts) {
-		workers = len(pts)
 	}
 	cache := opts.Cache
 	if cache == nil {
@@ -512,24 +512,28 @@ func runPoints(ctx context.Context, pts []Point, gen Generator, opts Options) (*
 		}
 		progressMu.Unlock()
 	}
-	finish := func(i int, pr PointResult) {
-		results[i] = pr
-		report(1)
-	}
 
-	var bstats batchStats
+	var batches, batched int
 	if br, ok := eng.(engine.BatchRunner); ok && opts.BatchWidth > 0 {
-		bstats = runBatched(ctx, pts, gen, br, refEng, opts, cache, workers, results, report)
+		batches, batched = runBatched(ctx, pts, gen, br, refEng, opts, cache, workers, results, report)
 	} else {
-		runPerPoint(ctx, pts, gen, eng, refEng, opts, cache, workers, finish)
+		// Per point: every point is a unit of its own, generated lazily
+		// by the worker that evaluates it.
+		forEach(ctx, len(pts), workers, func(i int) {
+			results[i] = evalPoint(ctx, pts[i], gen, eng, refEng, opts, cache)
+			report(1)
+		}, func(i int, err error) {
+			results[i] = PointResult{Point: pts[i], Err: err}
+			report(1)
+		})
 	}
 
 	res := &Result{Points: results}
 	res.Stats = Summarize(results, cache, time.Since(start))
-	res.Stats.Batches = bstats.batches
-	res.Stats.BatchedPoints = bstats.points
-	if bstats.batches > 0 {
-		res.Stats.BatchOccupancy = float64(bstats.points) / float64(bstats.batches*opts.BatchWidth)
+	res.Stats.Batches = batches
+	res.Stats.BatchedPoints = batched
+	if batches > 0 {
+		res.Stats.BatchOccupancy = float64(batched) / float64(batches*opts.BatchWidth)
 	}
 	if err := ctx.Err(); err != nil {
 		return res, err
@@ -537,87 +541,92 @@ func runPoints(ctx context.Context, pts []Point, gen Generator, opts Options) (*
 	return res, nil
 }
 
-// runPerPoint is the point-at-a-time worker pool: every grid point is an
-// independent job.
-func runPerPoint(ctx context.Context, pts []Point, gen Generator, eng, refEng engine.Engine, opts Options, cache *derive.Cache, workers int, finish func(int, PointResult)) {
-	jobs := make(chan int)
+// forEach is the sweep's one worker pool: it runs do(u) for every unit
+// u in [0, n) on up to workers goroutines, the caller's included, which
+// claim units in order. Each unit checks ctx before it starts; once ctx
+// is cancelled every unit not yet started goes to fail with the
+// context's error instead, so each unit reaches exactly one of do and
+// fail — which is what keeps Progress reaching total on cancel.
+func forEach(ctx context.Context, n, workers int, do func(u int), fail func(u int, err error)) {
+	var next atomic.Int64
+	work := func() {
+		for u := int(next.Add(1) - 1); u < n; u = int(next.Add(1) - 1) {
+			if err := ctx.Err(); err != nil {
+				fail(u, err)
+				continue
+			}
+			do(u)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				// A dispatched point may still see the cancellation
-				// before its evaluation started.
-				if err := ctx.Err(); err != nil {
-					finish(i, PointResult{Point: pts[i], Err: err})
-					continue
-				}
-				finish(i, evalPoint(ctx, pts[i], gen, eng, refEng, opts, cache))
-			}
+			work()
 		}()
 	}
-dispatch:
-	for i := range pts {
-		select {
-		case <-ctx.Done():
-			// Stop dispatching; the undispatched tail is only touched
-			// here, never by a worker. The tail still counts toward
-			// progress, so consumers see done == total even on cancel.
-			for j := i; j < len(pts); j++ {
-				finish(j, PointResult{Point: pts[j], Err: ctx.Err()})
-			}
-			break dispatch
-		case jobs <- i:
-		}
-	}
-	close(jobs)
+	work()
 	wg.Wait()
 }
 
-// Prepared is one grid point made ready for evaluation: its
-// architecture, structural shape, per-point derive options and hybrid
-// group, and the cohort key a batched run groups it under.
-type Prepared struct {
-	Arch   *model.Architecture
-	Shape  string
-	Key    string
-	Derive derive.Options
-	Group  []string
+// prepared is one grid point made ready for evaluation: its
+// architecture, structural shape, and per-point derive options and
+// hybrid group.
+type prepared struct {
+	arch   *model.Architecture
+	shape  string
+	derive derive.Options
+	group  []string
 }
 
-// Prepare generates one point's architecture, derives its structural
+// prepare generates one point's architecture, derives its structural
 // shape and applies the per-point option overrides (DeriveFor,
-// GroupFor). The per-point path, the batched path and a distributed
-// coordinator planning chunks all prepare points here, so a point that
-// fails before evaluation carries the same message wherever it fails.
-// Panics are confined to the point.
-func Prepare(p Point, gen Generator, opts Options) (pp Prepared, err error) {
+// GroupFor). The per-point path and the cohort planner both prepare
+// points here, so a point that fails before evaluation carries the same
+// message wherever it fails. Panics are confined to the point.
+func prepare(p Point, gen Generator, opts Options) (pp prepared, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			pp, err = Prepared{}, fmt.Errorf("sweep: point %d (%s): panic: %v", p.Index, p, r)
+			pp, err = prepared{}, fmt.Errorf("sweep: point %d (%s): panic: %v", p.Index, p, r)
 		}
 	}()
 	a, err := gen(p)
 	if err != nil {
-		return Prepared{}, fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
+		return prepared{}, fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
 	}
 	if a == nil {
-		return Prepared{}, fmt.Errorf("sweep: point %d (%s): generator returned no architecture", p.Index, p)
+		return prepared{}, fmt.Errorf("sweep: point %d (%s): generator returned no architecture", p.Index, p)
 	}
 	shape, err := derive.ShapeKey(a)
 	if err != nil {
-		return Prepared{}, fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
+		return prepared{}, fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
 	}
-	pp = Prepared{Arch: a, Shape: shape, Derive: opts.Derive, Group: opts.Group}
+	pp = prepared{arch: a, shape: shape, derive: opts.Derive, group: opts.Group}
 	if opts.DeriveFor != nil {
-		pp.Derive = opts.DeriveFor(p)
+		pp.derive = opts.DeriveFor(p)
 	}
 	if opts.GroupFor != nil {
-		pp.Group = opts.GroupFor(p)
+		pp.group = opts.GroupFor(p)
 	}
-	pp.Key = CohortKey(shape, pp.Derive, pp.Group)
 	return pp, nil
+}
+
+// engineOptions is the one mapping from sweep options to the options of
+// an engine run, under a point's (or a cohort's) derive options and
+// hybrid group. The scalar, batched and baseline runs all take theirs
+// from here; the reference executor reads only Record and LimitNs of
+// it and ignores the rest.
+func (o Options) engineOptions(d derive.Options, group []string, cache *derive.Cache) engine.Options {
+	return engine.Options{
+		Record:        o.Record,
+		LimitNs:       int64(o.Limit),
+		WindowK:       o.Window,
+		Confidence:    o.Confidence,
+		AbstractGroup: group,
+		Derive:        d,
+		Cache:         cache,
+	}
 }
 
 // evalPoint evaluates one grid point: generate the architecture, run the
@@ -636,20 +645,13 @@ func evalPoint(ctx context.Context, p Point, gen Generator, eng, refEng engine.E
 		}
 	}()
 	pr = PointResult{Point: p}
-	pp, err := Prepare(p, gen, opts)
+	pp, err := prepare(p, gen, opts)
 	if err != nil {
 		pr.Err = err
 		return pr
 	}
-	r, err := eng.Run(ctx, pp.Arch, engine.Options{
-		Record:        opts.Record,
-		LimitNs:       int64(opts.Limit),
-		WindowK:       opts.Window,
-		Confidence:    opts.Confidence,
-		AbstractGroup: pp.Group,
-		Derive:        pp.Derive,
-		Cache:         cache,
-	})
+	eopts := opts.engineOptions(pp.derive, pp.group, cache)
+	r, err := eng.Run(ctx, pp.arch, eopts)
 	if err != nil {
 		pr.Err = fmt.Errorf("sweep: point %d (%s): %w", p.Index, p, err)
 		return pr
@@ -658,16 +660,17 @@ func evalPoint(ctx context.Context, p Point, gen Generator, eng, refEng engine.E
 	pr.Trace = r.Trace
 
 	if opts.Baseline {
-		addBaseline(ctx, p, gen, refEng, opts, &pr)
+		addBaseline(ctx, p, gen, refEng, eopts, &pr)
 	}
 	return pr
 }
 
-// addBaseline pairs an evaluated point with a reference-executor run and
-// fills the paper's two headline ratios. Both the per-point and the
-// batched path use it — baselines always run point-at-a-time (the
-// reference executor has no batched form).
-func addBaseline(ctx context.Context, p Point, gen Generator, refEng engine.Engine, opts Options, pr *PointResult) {
+// addBaseline pairs an evaluated point with a reference-executor run
+// under the point's engine options and fills the paper's two headline
+// ratios. Both the per-point and the batched path use it — baselines
+// always run point-at-a-time (the reference executor has no batched
+// form).
+func addBaseline(ctx context.Context, p Point, gen Generator, refEng engine.Engine, eopts engine.Options, pr *PointResult) {
 	// A fresh instance keeps the engines from sharing memoized
 	// per-statement state.
 	ab, err := gen(p)
@@ -675,10 +678,7 @@ func addBaseline(ctx context.Context, p Point, gen Generator, refEng engine.Engi
 		pr.Err = fmt.Errorf("sweep: point %d (%s): baseline: %w", p.Index, p, err)
 		return
 	}
-	br, err := refEng.Run(ctx, ab, engine.Options{
-		Record:  opts.Record,
-		LimitNs: int64(opts.Limit),
-	})
+	br, err := refEng.Run(ctx, ab, eopts)
 	if err != nil {
 		pr.Err = fmt.Errorf("sweep: point %d (%s): baseline: %w", p.Index, p, err)
 		return
