@@ -341,7 +341,7 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // BenchmarkKernelActivation measures the cost the method saves per event:
-// one timed wait (two goroutine handshakes plus event-queue work).
+// one timed wait (two coroutine switches plus event-queue work).
 func BenchmarkKernelActivation(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.New()

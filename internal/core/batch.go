@@ -117,8 +117,11 @@ func RunBatch(lanes []*derive.Result, opts BatchOptions) ([]*Result, []error, er
 // barrier: a lane's kernel advances exactly as its scalar run would
 // (sources, gates and rendezvous are all lane-local), so every active
 // lane reaches every iteration — or retires through finish, which
-// re-opens the barrier. A lane blocked here keeps its kernel paused
-// (sim.Kernel runs one process at a time), so kernel shutdown can never
+// re-opens the barrier. A lane blocks here on the sync.Cond from inside
+// one of its kernel's process coroutines; that parks the coroutine's
+// goroutine like any other, and the lane goroutine that resumed it stays
+// suspended in the switch. So a blocked lane keeps its kernel paused
+// (sim.Kernel runs one process at a time), and kernel shutdown can never
 // race the barrier.
 type batchCoord struct {
 	mu   sync.Mutex

@@ -69,7 +69,7 @@ func TestTableEvict(t *testing.T) {
 	var tab Table[*testJob]
 	now := time.Now()
 	add := func(settledAgo time.Duration) (id string) {
-		j, _ := tab.Add(func(next string) (*testJob, error) { id = next; return &testJob{}, nil })
+		j, _ := tab.Add(0, func(next string) (*testJob, error) { id = next; return &testJob{}, nil })
 		if settledAgo >= 0 {
 			j.Settle(Done, nil, now.Add(-settledAgo))
 		}
@@ -89,7 +89,7 @@ func TestTableEvict(t *testing.T) {
 	}
 
 	tab.Put("job-000041", &testJob{})
-	j, _ := tab.Add(func(id string) (*testJob, error) {
+	j, _ := tab.Add(0, func(id string) (*testJob, error) {
 		if id != "job-000042" {
 			t.Errorf("next id %s, want job-000042", id)
 		}
@@ -97,6 +97,53 @@ func TestTableEvict(t *testing.T) {
 	})
 	if j == nil || tab.Len() != 4 {
 		t.Fatalf("table holds %d jobs, want 4", tab.Len())
+	}
+}
+
+// Add enforces the count bound as each job arrives: the oldest settled
+// jobs go at once, live ones never do, and the next Evict reports the
+// jobs Add dropped together with its own.
+func TestTableAddEnforcesMaxJobs(t *testing.T) {
+	var tab Table[*testJob]
+	now := time.Now()
+	var ids []string
+	add := func() *testJob {
+		j, _ := tab.Add(2, func(id string) (*testJob, error) {
+			ids = append(ids, id)
+			j := &testJob{}
+			j.Info.ID = id
+			return j, nil
+		})
+		return j
+	}
+	kept := func(want ...string) {
+		t.Helper()
+		var got []string
+		for _, j := range tab.List() {
+			got = append(got, j.Info.ID)
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("table holds %v, want %v", got, want)
+		}
+	}
+
+	add().Settle(Done, nil, now)
+	add().Settle(Done, nil, now)
+	j2 := add() // live: the oldest settled job makes room
+	kept(ids[1], ids[2])
+	j3 := add()
+	kept(ids[2], ids[3])
+	add() // every retained job is live: the bound waits
+	kept(ids[2], ids[3], ids[4])
+
+	j2.Settle(Done, nil, now)
+	j3.Settle(Failed, nil, now)
+	if n := tab.Evict(now, 0, 2); n != 3 {
+		t.Fatalf("Evict reported %d drops, want 3 (2 by Add, 1 by itself)", n)
+	}
+	kept(ids[3], ids[4])
+	if n := tab.Evict(now, 0, 2); n != 0 {
+		t.Fatalf("a second Evict reported %d drops, want 0", n)
 	}
 }
 

@@ -10,10 +10,11 @@ import (
 // Table owns a set of jobs by id, in creation order, and hands out the
 // "job-%06d" id sequence. The zero value is ready to use.
 type Table[J Entry] struct {
-	mu    sync.Mutex
-	byID  map[string]J
-	order []string
-	seq   int64
+	mu      sync.Mutex
+	byID    map[string]J
+	order   []string
+	seq     int64
+	dropped int // jobs Add evicted since the last Evict
 }
 
 func (t *Table[J]) putLocked(id string, j J) {
@@ -24,10 +25,12 @@ func (t *Table[J]) putLocked(id string, j J) {
 	t.order = append(t.order, id)
 }
 
-// Add registers the job create builds under the next id. create runs
-// under the table lock, so a job it refuses (by returning an error) is
-// never observable; the refused id is not reused.
-func (t *Table[J]) Add(create func(id string) (J, error)) (J, error) {
+// Add registers the job create builds under the next id, then evicts
+// the oldest settled jobs beyond maxJobs (0: unbounded), so the count
+// bound holds as each job arrives rather than only from the next Evict.
+// create runs under the table lock, so a job it refuses (by returning
+// an error) is never observable; the refused id is not reused.
+func (t *Table[J]) Add(maxJobs int, create func(id string) (J, error)) (J, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seq++
@@ -35,6 +38,7 @@ func (t *Table[J]) Add(create func(id string) (J, error)) (J, error) {
 	j, err := create(id)
 	if err == nil {
 		t.putLocked(id, j)
+		t.dropped += t.evictLocked(time.Time{}, 0, maxJobs)
 	}
 	return j, err
 }
@@ -82,10 +86,21 @@ func (t *Table[J]) Len() int {
 // settled jobs until the bound holds. Queued and running jobs are never
 // evicted, so a bound smaller than the live set is simply not yet
 // enforceable. Zero ttl or maxJobs disables that rule. Returns how many
-// jobs were dropped.
+// jobs were dropped since the previous Evict, by it or by Add, so a
+// caller that acts on evictions (the coordinator compacts its store)
+// also acts on those made as jobs arrived.
 func (t *Table[J]) Evict(now time.Time, ttl time.Duration, maxJobs int) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	n := t.dropped + t.evictLocked(now, ttl, maxJobs)
+	t.dropped = 0
+	return n
+}
+
+func (t *Table[J]) evictLocked(now time.Time, ttl time.Duration, maxJobs int) int {
+	if ttl <= 0 && (maxJobs <= 0 || len(t.order) <= maxJobs) {
+		return 0
+	}
 	drop := map[string]bool{}
 	var settled []string // still-kept settled jobs, creation order
 	for _, id := range t.order {

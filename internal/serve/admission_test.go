@@ -321,6 +321,32 @@ func TestMaxJobsEviction(t *testing.T) {
 	}
 }
 
+// MaxJobs holds as jobs are submitted, not only on the janitor's tick:
+// after each of MaxJobs+N back-to-back submissions settles, the table
+// retains at most MaxJobs jobs, the newest ones.
+func TestMaxJobsHeldOnSubmit(t *testing.T) {
+	const maxJobs, extra = 2, 3
+	s, ts := newTestServer(t, Config{MaxJobs: maxJobs})
+	var ids []string
+	for i := 0; i < maxJobs+extra; i++ {
+		resp := postJSON(t, ts.URL+"/v1/sweeps", SweepRequest{
+			Scenario: "pipeline",
+			Axes:     []Axis{{Name: "tokens", Values: []int64{20, 40}}},
+		})
+		j := decodeBody[Job](t, resp)
+		waitJob(t, ts.URL, j.ID, terminal)
+		ids = append(ids, j.ID)
+		if n := s.jobs.all.Len(); n > maxJobs {
+			t.Fatalf("after submission %d the table holds %d settled jobs, want at most %d", i+1, n, maxJobs)
+		}
+	}
+	for i, id := range ids {
+		if _, ok := s.jobs.get(id); ok != (i >= extra) {
+			t.Errorf("job %s retained = %v, want %v", id, ok, i >= extra)
+		}
+	}
+}
+
 // The outermost middleware converts a handler panic into a structured
 // 500 internal envelope and reports it, instead of tearing the
 // connection.

@@ -52,10 +52,12 @@ func (j *job) progress(done, total int) {
 	j.NotifyLocked()
 }
 
-// jobStore owns every job and the FIFO queue feeding the worker pool.
+// jobStore owns every job and the FIFO queue feeding the worker pool;
+// add evicts the oldest settled jobs beyond maxJobs (0: unbounded).
 type jobStore struct {
-	all   jobs.Table[*job]
-	queue chan *job
+	all     jobs.Table[*job]
+	maxJobs int
+	queue   chan *job
 }
 
 // add registers a job and enqueues it. It refuses — registering nothing
@@ -65,7 +67,7 @@ type jobStore struct {
 // either refused or seen by that sweep; the queue send is non-blocking,
 // so no lock is held across a wait.
 func (st *jobStore) add(ctx context.Context, j *job) error {
-	_, err := st.all.Add(func(id string) (*job, error) {
+	_, err := st.all.Add(st.maxJobs, func(id string) (*job, error) {
 		if ctx.Err() != nil {
 			return nil, errShuttingDown
 		}

@@ -124,8 +124,8 @@ type Config struct {
 	// forever).
 	JobTTL time.Duration
 	// MaxJobs bounds retained jobs, evicting the oldest settled ones
-	// beyond it (0: unbounded). Queued and running jobs never count
-	// against eviction.
+	// beyond it as each job is submitted (0: unbounded). Queued and
+	// running jobs are never evicted.
 	MaxJobs int
 	// StreamWriteTimeout bounds every single write on the SSE and NDJSON
 	// streams, so a stalled consumer cannot pin a stream goroutine
@@ -220,7 +220,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   derive.NewCacheLimit(cfg.CacheEntries),
-		jobs:    &jobStore{queue: make(chan *job, cfg.JobQueue)},
+		jobs:    &jobStore{maxJobs: cfg.MaxJobs, queue: make(chan *job, cfg.JobQueue)},
 		quotas:  newQuotas(),
 		mux:     http.NewServeMux(),
 		started: time.Now(),

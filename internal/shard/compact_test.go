@@ -97,6 +97,50 @@ func TestEvictionCompactsStoreAcrossRestart(t *testing.T) {
 	assertBitIdentical(t, getResult(t, ts2.URL, cJob.ID), localSweep(t, faultReq))
 }
 
+// MaxJobs holds as jobs are submitted, not only on the janitor's tick:
+// submitting MaxJobs+N jobs back to back, each waited to settle, never
+// leaves more than MaxJobs in the table, and the next eviction pass
+// counts the N submit-time evictions and compacts the store past them.
+func TestMaxJobsHeldOnSubmit(t *testing.T) {
+	const maxJobs, extra = 2, 4
+	workers := newFleet(t, 2)
+	storePath := t.TempDir() + "/jobs.ndjson"
+	c, ts := newCoord(t, Config{
+		Workers: workers, ChunkPoints: 4, StorePath: storePath, MaxJobs: maxJobs,
+	})
+	var ids []string
+	for i := 0; i < maxJobs+extra; i++ {
+		j := submitSweep(t, ts.URL, faultReq)
+		waitTerminal(t, ts.URL, j.ID)
+		ids = append(ids, j.ID)
+		if n := c.jobs.Len(); n > maxJobs {
+			t.Fatalf("after submission %d the table holds %d settled jobs, want at most %d", i+1, n, maxJobs)
+		}
+	}
+	for i, id := range ids {
+		if _, ok := c.get(id); ok != (i >= extra) {
+			t.Errorf("job %s retained = %v, want %v", id, ok, i >= extra)
+		}
+	}
+
+	c.evictJobs(time.Now())
+	if n := c.jobsEvicted.Load(); n != extra {
+		t.Fatalf("evicted %d jobs, want %d", n, extra)
+	}
+	if c.compactions.Load() < 1 {
+		t.Fatal("submit-time evictions never compacted the store")
+	}
+	ts.Close()
+	c.Close()
+	_, recovered, err := OpenStore(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != maxJobs {
+		t.Fatalf("compacted store replays %d jobs, want %d", len(recovered), maxJobs)
+	}
+}
+
 // TTL eviction through the janitor: settled jobs age out without any
 // explicit call, live jobs stay.
 func TestJobTTLEvictsSettledJobs(t *testing.T) {

@@ -97,8 +97,8 @@ type Config struct {
 	RetryMax  time.Duration
 	// JobTTL evicts settled jobs this long after they finish (0: keep
 	// forever); MaxJobs additionally evicts the oldest settled jobs
-	// beyond the count (0: unbounded). Eviction compacts the store past
-	// the dropped jobs.
+	// beyond the count (0: unbounded) as each job is submitted. The
+	// janitor's next pass compacts the store past the dropped jobs.
 	JobTTL  time.Duration
 	MaxJobs int
 	// StreamWriteTimeout bounds each write on the SSE and NDJSON streams
@@ -213,10 +213,11 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // evictJobs drops settled jobs past the TTL (by finish time) plus the
-// oldest settled jobs beyond MaxJobs, then compacts the store down to
-// the survivors: neither the job table nor the on-disk log grows
-// without bound under sustained traffic. Running jobs are never
-// touched.
+// oldest settled jobs beyond MaxJobs, then — if it or a submission since
+// the last pass dropped any — compacts the store down to the survivors:
+// neither the job table nor the on-disk log grows without bound under
+// sustained traffic, and the log is not rewritten per request. Running
+// jobs are never touched.
 func (c *Coordinator) evictJobs(now time.Time) {
 	n := c.jobs.Evict(now, c.cfg.JobTTL, c.cfg.MaxJobs)
 	if n == 0 {
@@ -360,7 +361,7 @@ func (c *Coordinator) submit(req serve.SweepRequest) (*job, *serve.RequestError)
 	// restarted coordinator must replan the same cuts.
 	req.Options.BatchWidth = jp.effWidth
 
-	j, _ := c.jobs.Add(func(id string) (*job, error) {
+	j, _ := c.jobs.Add(c.cfg.MaxJobs, func(id string) (*job, error) {
 		j := newJob(id, req, time.Now(), jp)
 		c.persistSettle(j)
 		return j, nil

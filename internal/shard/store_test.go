@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"bytes"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +14,7 @@ import (
 
 // writeSeedStore produces a store with one job, two chunk records and a
 // terminal state through the public append API, and returns its path.
-func writeSeedStore(t *testing.T) string {
+func writeSeedStore(t testing.TB) string {
 	t.Helper()
 	path := t.TempDir() + "/jobs.ndjson"
 	st, recovered, err := OpenStore(path)
@@ -245,4 +247,62 @@ func TestClosedStoreRejectsAppends(t *testing.T) {
 	if err := st.AppendState("job-000001", "done", ""); err == nil {
 		t.Fatal("append to a closed store succeeded")
 	}
+}
+
+// FuzzOpenStore holds replay to its torn-tail contract on arbitrary
+// file bytes: OpenStore never panics, and either fails or keeps a
+// newline-terminated prefix of the file, from which a reopen recovers
+// exactly the same records and leaves the file as it is.
+func FuzzOpenStore(f *testing.F) {
+	raw, err := os.ReadFile(writeSeedStore(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed := string(raw)
+	for _, s := range []string{
+		``,
+		"\n",
+		seed,
+		seed[:len(seed)/2],
+		seed[:len(seed)-1],
+		seed + `{"type":"state","job":"job-9`,
+		seed + "not json\n" + seed,
+		seed + `{"type":"future","job":"job-000001"}` + "\n",
+		`{"type":"chunk","job":"job-000001","chunk":0}` + "\n" + seed,
+		`{"type":"job","job":"job-000002"}` + "\n",
+		`{"type":"state","job":""}` + "\n",
+		seed + seed,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := t.TempDir() + "/jobs.ndjson"
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, recovered, err := OpenStore(path)
+		if err != nil {
+			return
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, kept) {
+			t.Fatalf("recovery left %q, not a prefix of the file", kept)
+		}
+		if len(kept) > 0 && kept[len(kept)-1] != '\n' {
+			t.Fatalf("recovery kept a torn record: %q", kept)
+		}
+		again := reopen(t, path)
+		if !reflect.DeepEqual(again, recovered) {
+			t.Fatalf("reopening the recovered file gave\n%+v\nwant\n%+v", again, recovered)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, kept) {
+			t.Fatalf("reopening changed the recovered file (%v)", err)
+		}
+	})
 }

@@ -1,12 +1,15 @@
 // Package sim implements a deterministic discrete-event simulation kernel
 // in the style of the SystemC reference simulator.
 //
-// Processes are goroutines that the kernel runs strictly one at a time:
-// resuming a process and receiving its yield each cost one channel
-// handshake, which reproduces the context-switch cost structure that
-// event-driven architecture models pay in SystemC. The dynamic computation
-// method of the paper removes kernel events; this kernel makes the savings
-// measurable, because every saved event is a saved pair of handshakes plus
+// Each process is a coroutine (iter.Pull): the kernel resumes it with
+// next, and the process hands control back by yielding when it waits.
+// SystemC's own threads are user-level coroutines too, so a kernel
+// activation here costs what it costs there, a direct switch between
+// two stacks, with no scheduler run queue in between. Execution is still
+// strictly one process at a time: the kernel is suspended while a
+// process runs and vice versa. The dynamic computation method of the
+// paper removes kernel events; this kernel makes the savings measurable,
+// because every saved event is a saved coroutine switch pair plus
 // event-queue work.
 //
 // The kernel is strictly deterministic: simultaneous events are processed
@@ -16,6 +19,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 )
 
@@ -63,17 +67,15 @@ type Kernel struct {
 	runnable []*Proc // ready at the current time, FIFO order
 	runHead  int     // next runnable index; the drained prefix is reused
 	procs    []*Proc
-	parked   chan struct{} // signalled by a process when it yields
 	seq      int64
 	running  bool
-	stopping bool
 	failure  error
 	stats    Stats
 }
 
 // New returns an empty kernel at time zero.
 func New() *Kernel {
-	return &Kernel{parked: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Now returns the current simulation time.
@@ -93,13 +95,10 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 	if k.running {
 		panic("sim: Spawn called while kernel is running")
 	}
-	p := &Proc{
-		name:   name,
-		k:      k,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{name: name, k: k}
 	k.procs = append(k.procs, p)
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(stopSignal); !ok {
@@ -107,21 +106,18 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 				}
 			}
 			p.done = true
-			k.parked <- struct{}{}
 		}()
-		<-p.resume
-		if k.stopping {
-			panic(stopSignal{})
-		}
 		body(p)
-	}()
+	})
 	// Every process gets an initial activation at time zero.
 	k.push(0, entry{wake: p})
 	return p
 }
 
-// stopSignal aborts a process goroutine during kernel shutdown; it is
-// recovered by the spawn wrapper and never escapes the package.
+// stopSignal unwinds a parked process during kernel shutdown, so its
+// deferred functions run; it is recovered by the spawn wrapper and never
+// escapes the package. (runtime.Goexit would not do: inside an iter.Pull
+// sequence it is re-raised in the caller of stop.)
 type stopSignal struct{}
 
 // entry is a scheduled occurrence: either waking a parked process or firing
@@ -250,24 +246,19 @@ func (k *Kernel) dispatch(e entry) {
 	}
 }
 
-// activate hands control to p and blocks until it parks again.
+// activate resumes p and returns when it parks again or finishes.
 func (k *Kernel) activate(p *Proc) {
 	if p.done {
 		return
 	}
 	k.stats.Activations++
-	p.resume <- struct{}{}
-	<-k.parked
+	p.next()
 }
 
-// shutdown terminates every process goroutine that is still alive.
+// shutdown terminates every process that is still alive: a parked one
+// unwinds from its park, one never activated does not start.
 func (k *Kernel) shutdown() {
-	k.stopping = true
 	for _, p := range k.procs {
-		if p.done {
-			continue
-		}
-		p.resume <- struct{}{}
-		<-k.parked
+		p.stop()
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -388,5 +389,91 @@ func TestStatsAddAndEvents(t *testing.T) {
 	}
 	if later := b.Add(a); later.FinalTime != 100 {
 		t.Fatalf("Add is not symmetric in FinalTime: %d", later.FinalTime)
+	}
+}
+
+// Every way a run ends leaves no process goroutine behind: Run returns
+// only after each coroutine has finished or been unwound.
+func TestNoGoroutineOutlivesRun(t *testing.T) {
+	cases := []struct {
+		name    string
+		limit   Time
+		wantErr bool
+		spawn   func(k *Kernel)
+	}{
+		{name: "queue drained", limit: Forever, spawn: func(k *Kernel) {
+			ev := k.NewEvent("never")
+			k.Spawn("done", func(p *Proc) { p.Wait(3) })
+			k.Spawn("parked", func(p *Proc) { p.WaitEvent(ev) })
+		}},
+		{name: "time limit with parked processes", limit: 25, spawn: func(k *Kernel) {
+			for i := 0; i < 3; i++ {
+				k.Spawn(fmt.Sprintf("spin%d", i), func(p *Proc) {
+					for {
+						p.Wait(10)
+					}
+				})
+			}
+		}},
+		{name: "panic while a peer is parked", limit: Forever, wantErr: true, spawn: func(k *Kernel) {
+			ev := k.NewEvent("never")
+			k.Spawn("parked", func(p *Proc) { p.WaitEvent(ev) })
+			k.Spawn("bad", func(p *Proc) {
+				p.Wait(2)
+				panic("boom")
+			})
+		}},
+		{name: "panic at time zero before peers started", limit: Forever, wantErr: true, spawn: func(k *Kernel) {
+			k.Spawn("bad", func(p *Proc) { panic("boom") })
+			for i := 0; i < 3; i++ {
+				k.Spawn(fmt.Sprintf("never-started%d", i), func(p *Proc) {
+					t.Error("a process spawned after a failed one was activated")
+				})
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			k := New()
+			tc.spawn(k)
+			err := k.Run(tc.limit)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("Run error = %v, want error %v", err, tc.wantErr)
+			}
+			if after := runtime.NumGoroutine(); after != before {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines after Run, %d before:\n%s", after, before, buf[:runtime.Stack(buf, true)])
+			}
+		})
+	}
+}
+
+// A steady-state activation allocates nothing: a timed wait, the wake it
+// schedules, a delta notification and the release of a waiting peer all
+// reuse the kernel's queue, runnable and waiter storage.
+func TestSteadyStateActivationDoesNotAllocate(t *testing.T) {
+	k := New()
+	ev := k.NewEvent("tick")
+	allocs := -1.0
+	k.Spawn("measure", func(p *Proc) {
+		allocs = testing.AllocsPerRun(1000, func() {
+			p.Wait(1)
+			ev.Notify()
+		})
+	})
+	k.Spawn("peer", func(p *Proc) {
+		for {
+			p.WaitEvent(ev)
+		}
+	})
+	if err := k.Run(Forever); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per activation, want 0", allocs)
+	}
+	if s := k.Stats(); s.Activations < 2*1000 {
+		t.Fatalf("only %d activations: the measured loop did not run through the kernel", s.Activations)
 	}
 }
